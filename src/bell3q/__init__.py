@@ -11,7 +11,7 @@ bias enumeration, explicit saturating constructions).
 from .pauli import (CorrelationDecomposition, PhysicalityError, ThreeQubitState,
                     as_t_matrix, as_t_tensor, decompose, decomposition_from_t,
                     reconstruct)
-from .smallmat import SingularTriple, eigen_sym3, singular_triple, singular_values_3x9
+from .smallmat import SingularTriple, singular_triple, singular_values_3x9
 from .observables import (GeneralObservable, MeasurementSetting, mermin_expectation,
                           svetlichny_expectation, triple_expectation,
                           variant_expectations)

@@ -21,13 +21,14 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
 import numpy as np
 
-from . import mermin as M
-from . import svetlichny as S
+from .observables import OPERATORS
 from .oracle import SeeSawConfig, bias_optimize, see_saw_maximize
 from .pauli import decompose, decomposition_from_t, reconstruct
 from .reports import BoundReport, Strengths
@@ -115,69 +116,37 @@ def _resolve_angles(angles_arg, decomp, strengths, operator: str, grid: int = 64
                 raise ConfigError("angles must lie in [0, pi]")
         return (tx, ty, tz), "explicit"
     s1, s2 = _svals(decomp)
+    op = OPERATORS[operator]
     if strengths.equal_per_side:
-        if operator == "mermin":
-            return M.equal_strength_angles(s1, s2), "optimal"
-        return S.equal_strength_angles_svetlichny(s1, s2), "optimal"
-    t = decomp.t_matrix
-    if operator == "mermin":
-        ang, _ = M.optimal_unbiased_angles(t, strengths, resolution=grid)
-    else:
-        ang, _ = S.optimal_unbiased_angles_svetlichny(t, strengths, resolution=grid)
+        return op.closed_form("equal_strength_angles")(s1, s2), "optimal"
+    ang, _ = op.closed_form("optimal_angles")(decomp.t_matrix, strengths, resolution=grid)
     return ang, "grid"
 
 
 def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
                     angles, tstate: bool) -> BoundReport:
-    t = decomp.t_matrix
-    s1, s2 = _svals(decomp)
-    if operator == "mermin":
-        if name == "unbiased_general":
-            return M.mermin_bound_unbiased(t, strengths, angles)
-        if name == "equal_strengths":
-            return M.mermin_bound_equal_strengths(t, strengths.rx, strengths.ry, strengths.rz)
-        if name == "orthogonal_sufficient":
-            value, _ = M.mermin_sufficient_orthogonal(t, strengths)
-            return BoundReport(value, "mermin_orthogonal_sufficient",
-                               achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
-                               notes="violation certificate, not an upper bound")
-        if name == "six_variant":
-            value, _ = M.mermin_six_variant_criterion(t, strengths, angles)
-            return BoundReport(value, "mermin_six_variant",
-                               achieving_angles=tuple(angles),
-                               notes="criterion for the six exchanged operators")
-        if name == "tstate_general":
-            return M.mermin_bound_tstate(t, strengths, angles)
-        if name == "x_asymmetric":
-            return M.mermin_bound_x_asymmetric(t, strengths.rx, strengths.rxp,
-                                               strengths.ry, strengths.rz, tstate=tstate)
-        if name == "degenerate_smax":
-            return M.mermin_bound_degenerate_smax(strengths, s1, tstate=tstate)
-    else:
-        if name == "unbiased_general":
-            return S.svetlichny_bound_unbiased(t, strengths, angles)
-        if name == "equal_strengths":
-            return S.svetlichny_bound_equal_strengths(t, strengths.rx, strengths.ry,
-                                                      strengths.rz)
-        if name == "orthogonal_sufficient":
-            value, _ = S.svetlichny_sufficient_orthogonal(t, strengths)
-            return BoundReport(value, "svetlichny_orthogonal_sufficient",
-                               achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
-                               notes="violation certificate, not an upper bound")
-        if name == "six_variant":
-            value, _ = S.svetlichny_six_variant_criterion(t, strengths, angles)
-            return BoundReport(value, "svetlichny_six_variant",
-                               achieving_angles=tuple(angles),
-                               notes="criterion for the six exchanged operators")
-        if name == "tstate_general":
-            return S.svetlichny_bound_tstate(t, strengths, angles)
-        if name == "x_asymmetric":
-            return S.svetlichny_bound_x_asymmetric_best(t, strengths.rx, strengths.rxp,
-                                                        strengths.ry, strengths.rz,
-                                                        tstate=tstate)
-        if name == "degenerate_smax":
-            return S.svetlichny_bound_degenerate_smax(strengths, s1, tstate=tstate)
-    raise ConfigError(f"unknown criterion {name!r} for operator {operator}")
+    t, st = decomp.t_matrix, strengths
+    s1, _ = _svals(decomp)
+    if name not in CRITERION_NAMES:
+        raise ConfigError(f"unknown criterion {name!r} for operator {operator}")
+    closed_form = OPERATORS[operator].closed_form(name)
+    if name in ("unbiased_general", "tstate_general"):
+        return closed_form(t, st, angles)
+    if name == "equal_strengths":
+        return closed_form(t, st.rx, st.ry, st.rz)
+    if name == "orthogonal_sufficient":
+        value, _ = closed_form(t, st)
+        return BoundReport(value, f"{operator}_orthogonal_sufficient",
+                           achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
+                           notes="violation certificate, not an upper bound")
+    if name == "six_variant":
+        value, _ = closed_form(t, st, angles)
+        return BoundReport(value, f"{operator}_six_variant",
+                           achieving_angles=tuple(angles),
+                           notes="criterion for the six exchanged operators")
+    if name == "x_asymmetric":
+        return closed_form(t, st.rx, st.rxp, st.ry, st.rz, tstate=tstate)
+    return closed_form(st, s1, tstate=tstate)  # the last criterion, degenerate_smax
 
 
 _NO_ORACLE = {"orthogonal_sufficient", "six_variant"}
@@ -198,10 +167,6 @@ def _attach_oracle(name: str, operator: str, report: BoundReport, decomp,
     return report.with_oracle(result.value)
 
 
-def _threshold(operator: str) -> float:
-    return M.MERMIN_CLASSICAL_BOUND if operator == "mermin" else S.SVETLICHNY_CLASSICAL_BOUND
-
-
 def _report_dict(operator: str, report: BoundReport) -> dict:
     return {
         "criterion": report.criterion,
@@ -210,7 +175,7 @@ def _report_dict(operator: str, report: BoundReport) -> dict:
         "angles": list(report.achieving_angles) if report.achieving_angles else None,
         "oracle": report.oracle_value,
         "gap": report.gap,
-        "violated": bool(report.bound_value > _threshold(operator)),
+        "violated": bool(report.bound_value > OPERATORS[operator].classical_limit),
         "notes": report.notes,
     }
 
@@ -221,7 +186,9 @@ def _emit(payload: dict, fmt: str, out_path):
     else:
         rows = payload["reports"] if "reports" in payload else payload["rows"]
         cols = sorted({k for row in rows for k in row})
-        lines = [",".join(cols)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
         for row in rows:
             cells = []
             for c in cols:
@@ -232,8 +199,8 @@ def _emit(payload: dict, fmt: str, out_path):
                     cells.append(";".join("%.17g" % x for x in v))
                 else:
                     cells.append("" if v is None else str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+            writer.writerow(cells)
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -243,8 +210,8 @@ def _emit(payload: dict, fmt: str, out_path):
 
 def _operators(arg: str) -> list[str]:
     if arg == "both":
-        return ["mermin", "svetlichny"]
-    if arg in ("mermin", "svetlichny"):
+        return list(OPERATORS)
+    if arg in OPERATORS:
         return [arg]
     raise ConfigError("--operator must be mermin, svetlichny or both")
 
@@ -363,17 +330,15 @@ def cmd_scan(args) -> int:
                 report = _compute_report(name, operator, decomp, strengths, angles, tstate)
                 row[f"{operator}_{name}"] = report.bound_value
                 row[f"{operator}_{name}_violated"] = bool(
-                    report.bound_value > _threshold(operator))
+                    report.bound_value > OPERATORS[operator].classical_limit)
         rows.append(row)
 
         if index == 0 and args.scan_axis == "strength_all" and tstate:
             p = float(np.hypot(s1, s2))
-            if "mermin" in operators and p > 1.0:
-                ru, rb = M.mermin_biased_window(p)
-                meta["mermin_window"] = {"r_unbiased": ru, "r_biased": rb}
-            if "svetlichny" in operators and p > np.sqrt(2.0):
-                ru, rb = S.svetlichny_biased_window(p)
-                meta["svetlichny_window"] = {"r_unbiased": ru, "r_biased": rb}
+            for operator in operators:
+                if p > OPERATORS[operator].window_threshold:
+                    ru, rb = OPERATORS[operator].closed_form("biased_window")(p)
+                    meta[f"{operator}_window"] = {"r_unbiased": ru, "r_biased": rb}
 
     payload = {"state": args.state,
                "config": {"scan_axis": args.scan_axis, "range": [lo, hi, steps],
@@ -413,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--angles", default=None,
                        help="tx,ty,tz in [0,pi] or 'optimal' (default)")
         p.add_argument("--operator", default="both",
-                       choices=["mermin", "svetlichny", "both"])
+                       choices=[*OPERATORS, "both"])
         p.add_argument("--criteria", default="all-applicable",
                        help="comma list of criteria or 'all-applicable'")
         p.add_argument("--oracle-restarts", type=int, default=0,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .observables import OPERATORS
 from .pauli import CorrelationDecomposition, as_t_matrix
 from .reports import BoundReport, ConsistencyError, Strengths
 from .smallmat import singular_values_3x9
@@ -42,7 +43,7 @@ __all__ = [
     "MERMIN_CLASSICAL_BOUND",
 ]
 
-MERMIN_CLASSICAL_BOUND = 2.0
+MERMIN_CLASSICAL_BOUND = OPERATORS["mermin"].classical_limit
 CLAMP_TOL = 1e-10
 
 
@@ -316,6 +317,20 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
     )
 
 
+def _grid_optimal_angles(plus_minus, t, strengths: Strengths, resolution: int,
+                         absolute: bool) -> tuple[tuple[float, float, float], float]:
+    """Grid-maximize 0.5(s1+s2)P + 0.5(s1-s2)M over the angle cube, with (P, M)
+    from the closed form ``plus_minus``; returns (angles, bound value)."""
+    s1, s2 = _t_svals(t)
+    grid = np.linspace(0.0, np.pi, resolution)
+    tx, ty, tz = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
+    plus, minus = plus_minus(strengths, (tx, ty, tz), absolute=absolute)
+    values = _pair_bound(s1, s2, plus, minus)
+    flat = int(np.argmax(values))
+    ix, iy, iz = np.unravel_index(flat, values.shape)
+    return (float(grid[ix]), float(grid[iy]), float(grid[iz])), float(values[ix, iy, iz])
+
+
 def optimal_unbiased_angles(t, strengths: Strengths, resolution: int = 64,
                             *, absolute: bool = False) -> tuple[tuple[float, float, float], float]:
     """Grid-maximize the closed-form unbiased bound over the angle cube.
@@ -323,11 +338,4 @@ def optimal_unbiased_angles(t, strengths: Strengths, resolution: int = 64,
     Returns (angles, bound value).  Used when no closed-form optimal-angle
     result applies to the given strength pattern.
     """
-    s1, s2 = _t_svals(t)
-    grid = np.linspace(0.0, np.pi, resolution)
-    tx, ty, tz = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    ip, im = i_plus_minus(strengths, (tx, ty, tz), absolute=absolute)
-    values = _pair_bound(s1, s2, ip, im)
-    flat = int(np.argmax(values))
-    ix, iy, iz = np.unravel_index(flat, values.shape)
-    return (float(grid[ix]), float(grid[iy]), float(grid[iz])), float(values[ix, iy, iz])
+    return _grid_optimal_angles(i_plus_minus, t, strengths, resolution, absolute)

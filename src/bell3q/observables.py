@@ -4,11 +4,17 @@ An observable with outcomes +-1 is parameterized as B*I + R*(sigma . n)
 with bias B, strength R >= 0 and unit direction n, subject to R + |B| <= 1
 (positivity of the two effects).  Strength 1 with zero bias is projective;
 strength 0 is a coin toss with outcome probabilities (1 +- B)/2.
+
+In the homogeneous form h = (B, R n) the observable is sum_mu h[mu] sigma_mu,
+so a triple correlator is Lambda[mu, nu, gamma] h_x[mu] h_y[nu] h_z[gamma]
+over the state's Pauli coefficients.  A Bell operator is a 2x2x2 sign tensor
+over the unprimed/primed choice of each party, contracted with the same form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 
 import numpy as np
 
@@ -21,8 +27,8 @@ __all__ = [
     "mermin_expectation",
     "svetlichny_expectation",
     "variant_expectations",
-    "MERMIN_TERMS",
-    "SVETLICHNY_TERMS",
+    "Operator",
+    "OPERATORS",
     "VARIANT_SWAPS",
 ]
 
@@ -60,6 +66,11 @@ class GeneralObservable:
     @classmethod
     def sharp(cls, direction) -> "GeneralObservable":
         return cls(bias=0.0, strength=1.0, direction=_unit(direction))
+
+    @property
+    def homogeneous(self) -> np.ndarray:
+        """(B, R n): the coefficients of the observable over (I, sigma_x, sigma_y, sigma_z)."""
+        return np.concatenate(([self.bias], self.strength * self.direction))
 
     def matrix(self) -> np.ndarray:
         n = self.direction
@@ -117,39 +128,86 @@ class MeasurementSetting:
         z, zp = (self.z_prime, self.z) if pattern[2] else (self.z, self.z_prime)
         return MeasurementSetting(x, xp, y, yp, z, zp)
 
+    @property
+    def homogeneous(self) -> np.ndarray:
+        """(3, 2, 4): per party, the (B, R n) vectors of the unprimed and primed
+        observable."""
+        return np.stack([o.homogeneous for o in self.observables]).reshape(3, 2, 4)
 
-def triple_expectation(decomp: CorrelationDecomposition,
-                       x_obs: GeneralObservable,
-                       y_obs: GeneralObservable,
-                       z_obs: GeneralObservable) -> float:
-    """<X Y Z> on the state behind ``decomp``, in closed form.
 
-    Eight terms: the pure bias product, three bias*bias*Bloch terms, three
-    bias*bipartite terms and the tripartite contraction x^T T (y kron z).
-    Agrees with the dense 8x8 trace to machine precision.
+@dataclass(frozen=True)
+class Operator:
+    """One Bell operator as data.
+
+    ``signs[a, b, c]`` is the coefficient of the product X^(a) Y^(b) Z^(c),
+    where index 1 selects the primed observable.  The closed forms live in
+    the module ``bell3q.<name>``; ``closed_forms`` maps each role to its
+    attribute name there, and :meth:`closed_form` looks the attribute up at
+    call time, so a replaced module attribute is seen by every caller.
+    ``window_threshold`` is the value of sqrt(s1^2 + s2^2) that the biased
+    window requires to be exceeded.
     """
-    bx, by, bz = x_obs.bias, y_obs.bias, z_obs.bias
-    rx, ry, rz = x_obs.strength, y_obs.strength, z_obs.strength
-    x, y, z = x_obs.direction, y_obs.direction, z_obs.direction
-    t = decomp.t_matrix
-    return float(
-        bx * by * bz
-        + by * bz * rx * (decomp.bloch_a @ x)
-        + bx * bz * ry * (decomp.bloch_b @ y)
-        + bx * by * rz * (decomp.bloch_c @ z)
-        + bz * rx * ry * (x @ decomp.theta_mat @ y)
-        + by * rx * rz * (x @ decomp.phi_mat @ z)
-        + bx * ry * rz * (y @ decomp.omega_mat @ z)
-        + rx * ry * rz * (x @ t @ np.kron(y, z))
-    )
+
+    name: str
+    signs: np.ndarray
+    classical_limit: float
+    window_threshold: float
+    closed_forms: dict
+
+    def __post_init__(self):
+        self.signs.flags.writeable = False
+
+    def closed_form(self, role: str):
+        return getattr(import_module(f".{self.name}", __package__), self.closed_forms[role])
 
 
-# Terms as (x-slot, y-slot, z-slot, sign) with slots indexing
-# (X, X', Y, Y', Z, Z').  The first four are XYZ' + XY'Z + X'YZ - X'Y'Z';
-# the Svetlichny combination subtracts the complementary four.
-MERMIN_TERMS = ((0, 2, 5, 1.0), (0, 3, 4, 1.0), (1, 2, 4, 1.0), (1, 3, 5, -1.0))
-SVETLICHNY_TERMS = MERMIN_TERMS + (
-    (1, 3, 4, -1.0), (1, 2, 5, -1.0), (0, 3, 5, -1.0), (0, 2, 4, 1.0))
+class _OperatorLookup(dict):
+    def __missing__(self, kind):
+        raise ValueError(f"unknown operator kind: {kind!r}")
+
+
+# Mermin: XYZ' + XY'Z + X'YZ - X'Y'Z'.  Svetlichny adds XYZ and subtracts
+# the other three products.
+OPERATORS = _OperatorLookup(
+    mermin=Operator(
+        name="mermin",
+        signs=np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]),
+        classical_limit=2.0,
+        window_threshold=1.0,
+        closed_forms={
+            "coefficient_matrix": "build_v_matrix",
+            "plus_minus": "i_plus_minus",
+            "equal_strength_angles": "equal_strength_angles",
+            "optimal_angles": "optimal_unbiased_angles",
+            "biased_window": "mermin_biased_window",
+            "unbiased_general": "mermin_bound_unbiased",
+            "equal_strengths": "mermin_bound_equal_strengths",
+            "orthogonal_sufficient": "mermin_sufficient_orthogonal",
+            "six_variant": "mermin_six_variant_criterion",
+            "tstate_general": "mermin_bound_tstate",
+            "x_asymmetric": "mermin_bound_x_asymmetric",
+            "degenerate_smax": "mermin_bound_degenerate_smax",
+        }),
+    svetlichny=Operator(
+        name="svetlichny",
+        signs=np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]]),
+        classical_limit=4.0,
+        window_threshold=float(np.sqrt(2.0)),
+        closed_forms={
+            "coefficient_matrix": "build_w_matrix",
+            "plus_minus": "j_plus_minus",
+            "equal_strength_angles": "equal_strength_angles_svetlichny",
+            "optimal_angles": "optimal_unbiased_angles_svetlichny",
+            "biased_window": "svetlichny_biased_window",
+            "unbiased_general": "svetlichny_bound_unbiased",
+            "equal_strengths": "svetlichny_bound_equal_strengths",
+            "orthogonal_sufficient": "svetlichny_sufficient_orthogonal",
+            "six_variant": "svetlichny_six_variant_criterion",
+            "tstate_general": "svetlichny_bound_tstate",
+            "x_asymmetric": "svetlichny_bound_x_asymmetric_best",
+            "degenerate_smax": "svetlichny_bound_degenerate_smax",
+        }),
+)
 
 # The six proper per-party exchange patterns.  The identity reproduces the
 # base operator and the all-party exchange its partner combination, so the
@@ -157,36 +215,39 @@ SVETLICHNY_TERMS = MERMIN_TERMS + (
 VARIANT_SWAPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-def _operator_expectation(decomp, setting, terms) -> float:
-    obs = setting.observables
-    return sum(sign * triple_expectation(decomp, obs[a], obs[b], obs[c])
-               for a, b, c, sign in terms)
+def triple_expectation(decomp: CorrelationDecomposition,
+                       x_obs: GeneralObservable,
+                       y_obs: GeneralObservable,
+                       z_obs: GeneralObservable) -> float:
+    """<X Y Z> = sum Lambda[mu, nu, gamma] h_x[mu] h_y[nu] h_z[gamma].
+
+    Agrees with the dense 8x8 trace to machine precision.
+    """
+    return float(np.einsum("mng,m,n,g->", decomp.lam, x_obs.homogeneous,
+                           y_obs.homogeneous, z_obs.homogeneous))
+
+
+def _operator_expectation(decomp, setting, operator_kind: str) -> float:
+    hx, hy, hz = setting.homogeneous
+    return float(np.einsum("abc,mng,am,bn,cg->", OPERATORS[operator_kind].signs,
+                           decomp.lam, hx, hy, hz))
 
 
 def mermin_expectation(decomp: CorrelationDecomposition,
                        setting: MeasurementSetting) -> float:
     """<XYZ'> + <XY'Z> + <X'YZ> - <X'Y'Z'>."""
-    return _operator_expectation(decomp, setting, MERMIN_TERMS)
+    return _operator_expectation(decomp, setting, "mermin")
 
 
 def svetlichny_expectation(decomp: CorrelationDecomposition,
                            setting: MeasurementSetting) -> float:
     """The eight-term combination whose classical bound is 4."""
-    return _operator_expectation(decomp, setting, SVETLICHNY_TERMS)
+    return _operator_expectation(decomp, setting, "svetlichny")
 
 
 def variant_expectations(decomp: CorrelationDecomposition,
                          setting: MeasurementSetting,
                          operator_kind: str) -> list[float]:
     """The operator value under the six proper primed/unprimed exchanges."""
-    terms = _terms_for(operator_kind)
-    return [_operator_expectation(decomp, setting.swapped(p), terms)
+    return [_operator_expectation(decomp, setting.swapped(p), operator_kind)
             for p in VARIANT_SWAPS]
-
-
-def _terms_for(operator_kind: str):
-    if operator_kind == "mermin":
-        return MERMIN_TERMS
-    if operator_kind == "svetlichny":
-        return SVETLICHNY_TERMS
-    raise ValueError(f"unknown operator kind: {operator_kind!r}")

@@ -32,13 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .mermin import build_v_matrix
-from .observables import MeasurementSetting, _terms_for
+from .observables import OPERATORS, MeasurementSetting
 from .pauli import CorrelationDecomposition, as_t_matrix
 from .reports import Strengths
 from .smallmat import singular_triple
 from .states import is_tstate
-from .svetlichny import build_w_matrix
 
 __all__ = [
     "SeeSawConfig",
@@ -111,75 +109,51 @@ def _initial_directions(seed: int, n_restarts: int) -> np.ndarray:
 
 
 class _Objective:
-    """Batched evaluation of sign * <operator> and its direction gradients."""
+    """Batched evaluation of orientation * <operator> and its direction gradients.
+
+    With h the homogeneous (B, R n) vectors grouped per party, the operator is
+    sum S[a,b,c] Lambda[mu,nu,gamma] hX[a,mu] hY[b,nu] hZ[c,gamma].  No
+    product holds both observables of one party, so one contraction over the
+    other two parties gives the gradient for both of a party's directions.
+    """
 
     def __init__(self, decomp: CorrelationDecomposition, strengths: np.ndarray,
-                 biases: np.ndarray, terms, signs: np.ndarray):
-        self.l = decomp.bloch_a
-        self.m = decomp.bloch_b
-        self.n = decomp.bloch_c
-        self.th = decomp.theta_mat
-        self.ph = decomp.phi_mat
-        self.om = decomp.omega_mat
-        self.t3 = decomp.t_tensor
+                 biases: np.ndarray, operator_signs: np.ndarray, orientation: np.ndarray):
+        kernel = np.einsum("abc,mng->ambncg", operator_signs, decomp.lam).reshape(8, 8, 8)
+        # kernels[p] maps the h of the later of the other two parties to the
+        # (party p, earlier other party) matrix, flattened to 64 columns
+        self.kernels = tuple(np.ascontiguousarray(kernel.transpose(axes)).reshape(64, 8).T
+                             for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
         self.r = strengths
-        self.b = biases          # (batch, 6)
-        self.terms = terms
-        self.signs = signs       # (batch,)
+        self.b = biases                # (batch, 6)
+        self.orientation = orientation  # (batch,)
+
+    def _partial(self, d: np.ndarray, party: int):
+        """Homogeneous vectors (batch, 3, 8) and the derivative of the operator
+        with respect to ``party``'s (batch, 8)."""
+        h = np.concatenate([self.b[..., None], self.r[:, None] * d], axis=-1)
+        h = h.reshape(-1, 3, 8)
+        first, second = (q for q in range(3) if q != party)
+        inner = (h[:, second] @ self.kernels[party]).reshape(-1, 8, 8)
+        return h, np.einsum("bij,bj->bi", inner, h[:, first])
 
     def value(self, d: np.ndarray) -> np.ndarray:
-        b, r = self.b, self.r
-        total = np.zeros(d.shape[0])
-        for a, c, e, sgn in self.terms:
-            x, y, z = d[:, a], d[:, c], d[:, e]
-            ba, bc, be = b[:, a], b[:, c], b[:, e]
-            ra, rc, re = r[a], r[c], r[e]
-            total += sgn * (
-                ba * bc * be
-                + bc * be * ra * (x @ self.l)
-                + ba * be * rc * (y @ self.m)
-                + ba * bc * re * (z @ self.n)
-                + be * ra * rc * np.einsum("bi,ij,bj->b", x, self.th, y)
-                + bc * ra * re * np.einsum("bi,ik,bk->b", x, self.ph, z)
-                + ba * rc * re * np.einsum("bj,jk,bk->b", y, self.om, z)
-                + ra * rc * re * np.einsum("ijk,bi,bj,bk->b", self.t3, x, y, z)
-            )
-        return self.signs * total
+        h, partial = self._partial(d, 0)
+        return self.orientation * np.einsum("bi,bi->b", h[:, 0], partial)
 
-    def gradient(self, d: np.ndarray, slot: int) -> np.ndarray:
-        b, r = self.b, self.r
-        g = np.zeros((d.shape[0], 3))
-        for a, c, e, sgn in self.terms:
-            ba, bc, be = b[:, a], b[:, c], b[:, e]
-            ra, rc, re = r[a], r[c], r[e]
-            if a == slot:
-                y, z = d[:, c], d[:, e]
-                g += sgn * (
-                    (bc * be * ra)[:, None] * self.l
-                    + (be * ra * rc)[:, None] * (y @ self.th.T)
-                    + (bc * ra * re)[:, None] * (z @ self.ph.T)
-                    + ra * rc * re * np.einsum("ijk,bj,bk->bi", self.t3, y, z))
-            elif c == slot:
-                x, z = d[:, a], d[:, e]
-                g += sgn * (
-                    (ba * be * rc)[:, None] * self.m
-                    + (be * ra * rc)[:, None] * (x @ self.th)
-                    + (ba * rc * re)[:, None] * (z @ self.om.T)
-                    + ra * rc * re * np.einsum("ijk,bi,bk->bj", self.t3, x, z))
-            elif e == slot:
-                x, y = d[:, a], d[:, c]
-                g += sgn * (
-                    (ba * bc * re)[:, None] * self.n
-                    + (bc * ra * re)[:, None] * (x @ self.ph)
-                    + (ba * rc * re)[:, None] * (y @ self.om)
-                    + ra * rc * re * np.einsum("ijk,bi,bj->bk", self.t3, x, y))
-        return self.signs[:, None] * g
+    def gradient(self, d: np.ndarray, party: int) -> np.ndarray:
+        """(batch, 2, 3): gradients for the party's unprimed and primed direction."""
+        _, partial = self._partial(d, party)
+        g = partial.reshape(-1, 2, 4)[..., 1:] * self.r[2 * party:2 * party + 2, None]
+        return self.orientation[:, None, None] * g
 
 
 def _update_free(d: np.ndarray, slot: int, g: np.ndarray) -> None:
-    norms = np.linalg.norm(g, axis=1)
+    """Each direction of the pair at ``slot`` becomes its normalized gradient."""
+    norms = np.linalg.norm(g, axis=-1)
     ok = norms > DEGENERATE_COEFF
-    d[ok, slot] = g[ok] / norms[ok, None]
+    pair = d[:, slot:slot + 2]
+    pair[ok] = g[ok] / norms[ok][:, None]
 
 
 def _update_pair(d: np.ndarray, slot: int, theta: float,
@@ -210,13 +184,11 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
         for party in range(3):
             slot = 2 * party
             theta = constraints[party]
+            g = objective.gradient(d, party)
             if theta is None:
-                _update_free(d, slot, objective.gradient(d, slot))
-                _update_free(d, slot + 1, objective.gradient(d, slot + 1))
+                _update_free(d, slot, g)
             else:
-                _update_pair(d, slot, float(theta),
-                             objective.gradient(d, slot),
-                             objective.gradient(d, slot + 1))
+                _update_pair(d, slot, float(theta), g[:, 0], g[:, 1])
         new_values = objective.value(d)
         if trace is not None:
             trace.append(new_values.copy())
@@ -252,14 +224,14 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
         raise ValueError("biases must be six values")
     if np.any(np.abs(b) > 1.0 - r + 1e-12):
         raise ValueError("each |bias| must be at most 1 - strength")
-    terms = _terms_for(operator_kind)
+    operator_signs = OPERATORS[operator_kind].signs
 
     init = _initial_directions(config.seed, config.restarts)
     d = np.concatenate([init, init], axis=0)
-    signs = np.concatenate([np.ones(config.restarts), -np.ones(config.restarts)])
+    orientation = np.concatenate([np.ones(config.restarts), -np.ones(config.restarts)])
     b_batch = np.broadcast_to(b, (d.shape[0], 6)).copy()
 
-    objective = _Objective(decomp, r, b_batch, terms, signs)
+    objective = _Objective(decomp, r, b_batch, operator_signs, orientation)
     values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
     return _result_from_batch(values, d, b_batch, r, sweeps, hit_max, trace)
 
@@ -277,7 +249,7 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
         raise ValueError("bias_optimize requires a T-state decomposition")
     r = strengths.as_array()
     bars = strengths.bars
-    terms = _terms_for(operator_kind)
+    operator_signs = OPERATORS[operator_kind].signs
 
     patterns = np.array([[(1 if (p >> i) & 1 else -1) for i in range(6)]
                          for p in range(64)], dtype=float) * bars
@@ -285,9 +257,7 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
 
     d = np.tile(init, (64, 1, 1))
     b_batch = np.repeat(patterns, config.restarts, axis=0)
-    signs = np.ones(d.shape[0])
-
-    objective = _Objective(decomp, r, b_batch, terms, signs)
+    objective = _Objective(decomp, r, b_batch, operator_signs, np.ones(d.shape[0]))
     values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
     return _result_from_batch(values, d, b_batch, r, sweeps, hit_max, trace)
 
@@ -319,12 +289,7 @@ def construct_saturating_setting(t, strengths: Strengths, angles,
     right singular subspace of T onto that of the coefficient matrix.
     """
     t = as_t_matrix(t)
-    if operator_kind == "mermin":
-        v = build_v_matrix(strengths, angles)
-    elif operator_kind == "svetlichny":
-        v = build_w_matrix(strengths, angles)
-    else:
-        raise ValueError(f"unknown operator kind: {operator_kind!r}")
+    v = OPERATORS[operator_kind].closed_form("coefficient_matrix")(strengths, angles)
 
     trip_t = singular_triple(t)
     trip_v = singular_triple(v)
@@ -388,7 +353,7 @@ def grid_scan(decomp: CorrelationDecomposition, strengths: Strengths,
     """
     if not (1 <= resolution <= 12):
         raise ValueError("resolution must lie in 1..12")
-    terms = _terms_for(operator_kind)
+    operator_signs = OPERATORS[operator_kind].signs
     t3 = decomp.t_tensor
     r = strengths.as_array()
 
@@ -402,11 +367,10 @@ def grid_scan(decomp: CorrelationDecomposition, strengths: Strengths,
     reduced = np.einsum("ijk,ia,jb,kc->abc", t3, planes[0], planes[1], planes[2])
     alphas = 2.0 * np.pi * np.arange(resolution) / resolution
     table = np.stack([np.cos(alphas), np.sin(alphas)], axis=1)  # (res, 2)
-    g = np.einsum("abc,pa,qb,rc->pqr", reduced, table, table, table)
-
-    total = np.zeros((resolution,) * 6)
-    for a, c, e, sgn in terms:
-        shape = [1] * 6
-        shape[a] = shape[c] = shape[e] = resolution
-        total += sgn * r[a] * r[c] * r[e] * g.reshape(shape)
+    # pair[a, i, j] is the in-plane direction of the unprimed (a = 0, angle i)
+    # or primed (a = 1, angle j) observable
+    pair = np.stack(np.broadcast_arrays(table[:, None], table[None, :]))
+    hx, hy, hz = (r[2 * p:2 * p + 2, None, None, None] * pair for p in range(3))
+    total = np.einsum("abc,mng,aijm,bkln,cpqg->ijklpq", operator_signs, reduced,
+                      hx, hy, hz, optimize=True)
     return float(np.max(np.abs(total)))

@@ -78,7 +78,6 @@ class BoundReport:
     bound_value: float
     criterion: str
     achieving_angles: Optional[tuple[float, float, float]] = None
-    achieving_setting: Optional[object] = None
     oracle_value: Optional[float] = None
     gap: Optional[float] = field(default=None)
     notes: str = ""

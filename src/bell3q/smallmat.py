@@ -1,11 +1,10 @@
-"""Small dense-matrix kernels: symmetric Jacobi eigensolver and wide SVD.
+"""Singular triples of the small wide matrices the bounds consume.
 
 The bound formulas only ever need singular values and vectors of matrices
 with at most 3 rows (the 3x9 correlation and coefficient matrices and their
-2x4 active blocks).  A cyclic Jacobi diagonalization of A A^T is accurate
-and robust near the degenerate spectra that the closed forms care about
-(s1 = s2 routes several formulas), which is why this kernel is used instead
-of a general-purpose SVD.
+2x4 active blocks).  LAPACK's SVD works on the matrix itself rather than on
+A A^T, so small singular values keep full relative accuracy; the wrapper
+adds the exact rank-zero clamp that the closed forms' rank logic relies on.
 """
 
 from __future__ import annotations
@@ -14,57 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SingularTriple", "eigen_sym3", "singular_triple", "singular_values_3x9"]
+__all__ = ["SingularTriple", "singular_triple", "singular_values_3x9"]
 
-JACOBI_TOL = 1e-14
-MAX_SWEEPS = 30
-SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-12
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
-def eigen_sym3(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix of size <= 3 by cyclic Jacobi.
-
-    Returns (eigenvalues sorted non-increasing, eigenvector matrix with
-    matching columns).  Rejects asymmetric input.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n) or n > 3 or n < 1:
-        raise ValueError(f"expected a square matrix of size <= 3, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric")
-
-    w = a.copy()
-    v = np.eye(n)
-    for _ in range(MAX_SWEEPS):
-        if _off_norm(w) <= JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                w = rot.T @ w @ rot
-                v = v @ rot
-    vals = np.diag(w).copy()
-    order = np.argsort(-vals)
-    return vals[order], v[:, order]
 
 
 @dataclass(frozen=True)
@@ -86,38 +37,13 @@ class SingularTriple:
 
 
 def singular_triple(a) -> SingularTriple:
-    """SVD of an m x n matrix with m <= 3, via Jacobi on A A^T."""
+    """Thin SVD of an m x n matrix with m <= 3."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] > 3:
         raise ValueError(f"expected a matrix with at most 3 rows, got {a.shape}")
-    m, n = a.shape
-    gram = a @ a.T
-    gram = 0.5 * (gram + gram.T)
-    evals, u = eigen_sym3(gram)
-    vals = np.sqrt(np.clip(evals, 0.0, None))
+    u, vals, vt = np.linalg.svd(a, full_matrices=False)
     vals[vals < RANK_TOL] = 0.0
-
-    right = np.zeros((n, m))
-    for i in range(m):
-        if vals[i] > RANK_TOL:
-            right[:, i] = (a.T @ u[:, i]) / vals[i]
-        else:
-            # complete orthonormally; any completion is acceptable because
-            # downstream formulas use only values or whole subspaces.
-            for seed in np.eye(n):
-                cand = seed - right[:, :i] @ (right[:, :i].T @ seed)
-                norm = np.linalg.norm(cand)
-                if norm > 0.5:
-                    right[:, i] = cand / norm
-                    break
-    # one re-orthogonalization pass absorbs roundoff from near-degenerate values
-    for i in range(m):
-        for j in range(i):
-            right[:, i] -= (right[:, j] @ right[:, i]) * right[:, j]
-        norm = np.linalg.norm(right[:, i])
-        if norm > 0:
-            right[:, i] /= norm
-    return SingularTriple(values=vals, left_vectors=u, right_vectors=right)
+    return SingularTriple(values=vals, left_vectors=u, right_vectors=vt.T)
 
 
 def singular_values_3x9(a) -> SingularTriple:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mermin, svetlichny
+from .observables import OPERATORS
 from .oracle import SeeSawConfig, see_saw_maximize
 from .pauli import decomposition_from_t
 from .reports import Strengths
@@ -50,12 +51,11 @@ def suite_closed_form(seed: int, budget: int) -> SuiteResult:
     for _ in range(budget):
         st = _random_strengths(rng)
         angles = tuple(rng.uniform(0.0, np.pi, 3))
-        sv = np.linalg.svd(mermin.build_v_matrix(st, angles), compute_uv=False)
-        ip, im = mermin.i_plus_minus(st, angles)
-        worst = max(worst, abs(ip - (sv[0] + sv[1])), abs(im - (sv[0] - sv[1])))
-        sw = np.linalg.svd(svetlichny.build_w_matrix(st, angles), compute_uv=False)
-        jp, jm = svetlichny.j_plus_minus(st, angles)
-        worst = max(worst, abs(jp - (sw[0] + sw[1])), abs(jm - (sw[0] - sw[1])))
+        for op in OPERATORS.values():
+            sv = np.linalg.svd(op.closed_form("coefficient_matrix")(st, angles),
+                               compute_uv=False)
+            plus, minus = op.closed_form("plus_minus")(st, angles)
+            worst = max(worst, abs(plus - (sv[0] + sv[1])), abs(minus - (sv[0] - sv[1])))
     tol = 1e-10
     return SuiteResult("closed_form", worst < tol, worst, tol, budget,
                        time.perf_counter() - t0,
@@ -126,21 +126,16 @@ def suite_tightness(seed: int, budget: int) -> SuiteResult:
         s1 = rng.uniform(0.3, 1.0)
         s2 = rng.uniform(0.1, s1)
         s3 = rng.uniform(0.0, s2)
-        if i % 2 == 0:
-            angles = mermin.equal_strength_angles(s1, s2)
-            t = saturable_tensor(rng, mermin.build_v_matrix(st, angles), s1, s2, s3)
-            bound = mermin.mermin_bound_equal_strengths(t, *r).bound_value
-            kind = "mermin"
-        else:
-            angles = svetlichny.equal_strength_angles_svetlichny(s1, s2)
-            t = saturable_tensor(rng, svetlichny.build_w_matrix(st, angles), s1, s2, s3)
-            bound = svetlichny.svetlichny_bound_equal_strengths(t, *r).bound_value
-            kind = "svetlichny"
+        op = OPERATORS[("mermin", "svetlichny")[i % 2]]
+        angles = op.closed_form("equal_strength_angles")(s1, s2)
+        t = saturable_tensor(rng, op.closed_form("coefficient_matrix")(st, angles),
+                             s1, s2, s3)
+        bound = op.closed_form("equal_strengths")(t, *r).bound_value
         decomp = decomposition_from_t(t.reshape(3, 3, 3))
         cfg = SeeSawConfig(restarts=config.restarts, max_sweeps=config.max_sweeps,
                            convergence_tol=config.convergence_tol,
                            seed=seed + 1000 * i, angle_constraints=angles)
-        result = see_saw_maximize(decomp, st, np.zeros(6), kind, cfg)
+        result = see_saw_maximize(decomp, st, np.zeros(6), op.name, cfg)
         worst = max(worst, abs(bound - result.value))
     tol = 1e-4
     return SuiteResult("tightness", worst < tol, worst, tol, budget,
@@ -166,11 +161,10 @@ def suite_invariance(seed: int, budget: int) -> SuiteResult:
         sv_b = singular_values_3x9(rotated).values
         worst = max(worst, float(np.max(np.abs(sv_a - sv_b))))
 
-        m_a = mermin.mermin_bound_unbiased(t, st, angles).bound_value
-        m_b = mermin.mermin_bound_unbiased(rotated, st, angles).bound_value
-        s_a = svetlichny.svetlichny_bound_unbiased(t, st, angles).bound_value
-        s_b = svetlichny.svetlichny_bound_unbiased(rotated, st, angles).bound_value
-        worst = max(worst, abs(m_a - m_b), abs(s_a - s_b))
+        for op in OPERATORS.values():
+            bound = op.closed_form("unbiased_general")
+            worst = max(worst, abs(bound(t, st, angles).bound_value
+                                   - bound(rotated, st, angles).bound_value))
     tol = 1e-9
     return SuiteResult("invariance", worst < tol, worst, tol, budget,
                        time.perf_counter() - t0,

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .observables import OPERATORS
 from .pauli import CorrelationDecomposition
 from .reports import BoundReport, Strengths
 from .states import is_tstate
-from .mermin import _clamp_square, _i_coefficients, _pair_bound, _t_svals
+from .mermin import (_clamp_square, _grid_optimal_angles, _i_coefficients, _pair_bound,
+                     _t_svals)
 
 __all__ = [
     "build_w_matrix",
@@ -36,7 +38,7 @@ __all__ = [
     "SVETLICHNY_CLASSICAL_BOUND",
 ]
 
-SVETLICHNY_CLASSICAL_BOUND = 4.0
+SVETLICHNY_CLASSICAL_BOUND = OPERATORS["svetlichny"].classical_limit
 
 
 def _abcd_pm(s: Strengths):
@@ -265,14 +267,20 @@ def svetlichny_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float
 
 
 def svetlichny_bound_x_asymmetric_best(t, rx, rxp, ry, rz, tstate: bool = False) -> BoundReport:
-    """Largest applicable branch value (aggregation, not a single stated result)."""
+    """Largest applicable branch value (aggregation, not a single stated result).
+
+    Branches whose values agree to 1e-12 relative are ties; the criterion and
+    angles then come from the first of them in the order mixed, orthogonal,
+    parallel, so last-bit rounding cannot decide which branch is reported.
+    """
     s1, s2 = _t_svals(t)
-    branches = ["orthogonal", "mixed"]
+    branches = ["mixed", "orthogonal"]
     if abs(s1 - s2) <= 1e-9 * max(1.0, s1):
         branches.append("parallel")
     reports = [svetlichny_bound_x_asymmetric(t, rx, rxp, ry, rz, b, tstate) for b in branches]
-    best = max(reports, key=lambda r: r.bound_value)
-    return BoundReport(bound_value=best.bound_value,
+    top = max(r.bound_value for r in reports)
+    best = next(r for r in reports if r.bound_value >= top - 1e-12 * abs(top))
+    return BoundReport(bound_value=top,
                        criterion=best.criterion + "_best",
                        achieving_angles=best.achieving_angles,
                        notes="maximum over applicable angle branches")
@@ -305,11 +313,4 @@ def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float,
 def optimal_unbiased_angles_svetlichny(t, strengths: Strengths, resolution: int = 64,
                                        *, absolute: bool = False):
     """Grid-maximize the closed-form unbiased bound over the angle cube."""
-    s1, s2 = _t_svals(t)
-    grid = np.linspace(0.0, np.pi, resolution)
-    tx, ty, tz = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    jp, jm = j_plus_minus(strengths, (tx, ty, tz), absolute=absolute)
-    values = _pair_bound(s1, s2, jp, jm)
-    flat = int(np.argmax(values))
-    ix, iy, iz = np.unravel_index(flat, values.shape)
-    return (float(grid[ix]), float(grid[iy]), float(grid[iz])), float(values[ix, iy, iz])
+    return _grid_optimal_angles(j_plus_minus, t, strengths, resolution, absolute)

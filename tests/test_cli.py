@@ -1,9 +1,12 @@
 """CLI behavior: output formats, exit codes, scans, verify suites."""
 
+import csv
+import io
 import json
 
 import numpy as np
 
+from bell3q import Strengths, decompose, ghz_state, svetlichny_bound_unbiased
 from bell3q.cli import main
 
 GHZ_TENSOR_27 = ",".join(str(x) for x in
@@ -120,6 +123,31 @@ class TestBound:
             csv_bounds[cells[crit_col]] = float(cells[bound_col])
         for report in reports:
             assert csv_bounds[report["criterion"]] == report["bound"]
+
+    def test_csv_rows_have_header_width(self, capsys):
+        # notes such as "violation certificate, not an upper bound" hold commas
+        code, out, _ = run(["bound", "--state", "ghz", "--operator", "both",
+                            "--format", "csv"], capsys)
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows
+        for cells in rows:
+            assert len(cells) == len(header)
+            row = dict(zip(header, cells))
+            assert row["operator"] in ("mermin", "svetlichny")
+            assert row["criterion"].startswith(row["operator"] + "_")
+
+    def test_x_asymmetric_angles_achieve_the_bound(self, capsys):
+        # at GHZ with unit strengths the branches tie to the last bit; the
+        # reported angles must still reach the reported value
+        code, out, _ = run(["bound", "--state", "ghz", "--strengths", "1,1,1,1,1,1",
+                            "--operator", "svetlichny"], capsys)
+        assert code == 0
+        report = next(r for r in json.loads(out)["reports"]
+                      if r["criterion"].startswith("svetlichny_x_asymmetric"))
+        achieved = svetlichny_bound_unbiased(decompose(ghz_state()).t_tensor,
+                                             Strengths.uniform(1.0), report["angles"])
+        assert abs(achieved.bound_value - report["bound"]) < 1e-12 * report["bound"]
 
 
 class TestScan:

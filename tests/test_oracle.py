@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from bell3q import (NonConstructibleError, SeeSawConfig, Strengths, bias_optimize,
-                    construct_saturating_setting, decompose, decomposition_from_t,
-                    ghz_state, grid_scan, mermin_biased_window, mermin_bound_unbiased,
-                    mermin_expectation, see_saw_maximize, svetlichny_expectation)
+from bell3q import (NonConstructibleError, SeeSawConfig, Strengths, ThreeQubitState,
+                    bias_optimize, construct_saturating_setting, decompose,
+                    decomposition_from_t, ghz_state, grid_scan, mermin_biased_window,
+                    mermin_bound_unbiased, mermin_expectation, see_saw_maximize,
+                    svetlichny_expectation)
 from bell3q.mermin import build_v_matrix, equal_strength_angles
 from bell3q.svetlichny import equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
+
+from test_observables import dense_triple, random_density
 
 ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
 ROOT2 = np.sqrt(2.0)
@@ -24,6 +27,19 @@ def ghz_t3():
 
 def mixed_decomp():
     return decomposition_from_t(np.zeros((3, 3, 3)))
+
+
+# (X slot, Y slot, Z slot, sign) over (X, X', Y, Y', Z, Z'), written term by term
+DENSE_TERMS = {"mermin": [(0, 2, 5, 1), (0, 3, 4, 1), (1, 2, 4, 1), (1, 3, 5, -1)]}
+DENSE_TERMS["svetlichny"] = DENSE_TERMS["mermin"] + [
+    (1, 3, 4, -1), (1, 2, 5, -1), (0, 3, 5, -1), (0, 2, 4, 1)]
+
+
+def dense_value(rho, setting, kind):
+    """Tr(rho * operator), summed term by term over dense 8x8 triple products."""
+    obs = setting.observables
+    return sum(sign * dense_triple(rho, obs[a], obs[b], obs[c])
+               for a, b, c, sign in DENSE_TERMS[kind])
 
 
 class TestSeeSaw:
@@ -103,6 +119,22 @@ class TestSeeSaw:
         assert abs(result.value - bound) < 1e-8
         got = result.setting.relative_angles
         np.testing.assert_allclose(got, angles, atol=1e-9)
+
+
+class TestSeeSawAgainstDenseTrace:
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    def test_value_is_the_trace_at_the_returned_setting(self, kind):
+        rng = np.random.default_rng(41)
+        rho = random_density(rng)
+        d = decompose(ThreeQubitState(rho))
+        blocks = (d.bloch_a, d.bloch_b, d.bloch_c, d.theta_mat, d.phi_mat, d.omega_mat,
+                  d.t_tensor)
+        assert min(np.max(np.abs(block)) for block in blocks) > 1e-2
+        st = Strengths.from_iterable(rng.uniform(0.3, 0.9, 6))
+        biases = (1.0 - st.as_array()) * rng.uniform(-1.0, 1.0, 6)
+        result = see_saw_maximize(d, st, biases, kind, SeeSawConfig(restarts=4, seed=3))
+        np.testing.assert_array_equal(result.setting.biases_array, biases)
+        assert abs(result.value - abs(dense_value(rho, result.setting, kind))) < 1e-12
 
 
 class TestBiasOptimize:

@@ -1,9 +1,8 @@
 """Small-matrix kernel tests against independent oracles."""
 
 import numpy as np
-import pytest
 
-from bell3q.smallmat import eigen_sym3, singular_triple, singular_values_3x9
+from bell3q.smallmat import singular_triple, singular_values_3x9
 
 
 def ghz_t_matrix():
@@ -11,46 +10,6 @@ def ghz_t_matrix():
     t[0, 0, 0] = 1.0
     t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = -1.0
     return t.reshape(3, 9)
-
-
-class TestEigenSym3:
-    def test_identity(self):
-        vals, vecs = eigen_sym3(np.eye(3))
-        np.testing.assert_allclose(vals, [1, 1, 1], atol=1e-14)
-        np.testing.assert_allclose(vecs @ vecs.T, np.eye(3), atol=1e-12)
-
-    def test_diagonal_sorting(self):
-        vals, vecs = eigen_sym3(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(vals, [3, 2, 1], atol=1e-14)
-        # axis vectors, permuted to match the sorted eigenvalues
-        np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
-
-    def test_matches_characteristic_polynomial_roots(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.normal(size=(3, 3))
-            a = a + a.T
-            vals, vecs = eigen_sym3(a)
-            # cubic-root oracle on det(A - lambda I)
-            c2 = -np.trace(a)
-            c1 = 0.5 * (np.trace(a) ** 2 - np.trace(a @ a))
-            c0 = -np.linalg.det(a)
-            roots = np.sort(np.roots([1.0, c2, c1, c0]).real)[::-1]
-            np.testing.assert_allclose(vals, roots, atol=1e-9)
-            for i in range(3):
-                np.testing.assert_allclose(a @ vecs[:, i], vals[i] * vecs[:, i], atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        a = np.eye(3)
-        a[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="symmetric"):
-            eigen_sym3(a)
-
-    def test_two_by_two(self):
-        vals, vecs = eigen_sym3(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(vals, [3, 1], atol=1e-12)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T,
-                                   [[2, 1], [1, 2]], atol=1e-12)
 
 
 class TestSingularTriple:
