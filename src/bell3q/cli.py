@@ -62,14 +62,18 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
 
 
 def _state_context(spec: StateSpec):
-    """Decomposition plus physicality info; tstate specs stay coefficient-level."""
+    """Decomposition, physicality info, T-state flag and (s1, s2) of T, computed
+    once per state; tstate specs stay coefficient-level."""
     if spec.kind == "tstate":
         decomp = decomposition_from_t(np.asarray(spec.t_tensor).reshape(3, 3, 3))
         rebuilt = reconstruct(decomp)
-        return decomp, {"physical": bool(rebuilt.is_physical),
-                        "min_eigenvalue": rebuilt.min_eigenvalue}
-    state = build(spec)
-    return decompose(state), {"physical": True, "min_eigenvalue": state.min_eigenvalue}
+        info = {"physical": bool(rebuilt.is_physical),
+                "min_eigenvalue": rebuilt.min_eigenvalue}
+    else:
+        state = build(spec)
+        decomp = decompose(state)
+        info = {"physical": True, "min_eigenvalue": state.min_eigenvalue}
+    return decomp, info, is_tstate(decomp), _svals(decomp)
 
 
 def _svals(decomp):
@@ -97,12 +101,30 @@ def _applicable(name: str, strengths: Strengths, tstate: bool, s1: float, s2: fl
         return tstate
     if name == "x_asymmetric":
         return yz_equal and strengths.rx >= strengths.rxp and not (has_bias and not tstate)
-    if name == "degenerate_smax":
-        return degenerate and not (has_bias and not tstate)
-    raise ConfigError(f"unknown criterion {name!r}")
+    return degenerate and not (has_bias and not tstate)  # degenerate_smax
 
 
-def _resolve_angles(angles_arg, decomp, strengths, operator: str, grid: int = 64):
+def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2: float,
+                     has_bias: bool) -> list[str]:
+    """The criteria named by ``--criteria``; each must exist and apply."""
+    if arg == "all-applicable":
+        names = [n for n in CRITERION_NAMES
+                 if _applicable(n, strengths, tstate, s1, s2, has_bias)]
+        if not names:
+            raise IncompatibleError("no criterion applies: biased observables require a T-state")
+        return names
+    names = [n.strip() for n in arg.split(",") if n.strip()]
+    for n in names:
+        if n not in CRITERION_NAMES:
+            raise ConfigError(f"unknown criterion {n!r}")
+        if not _applicable(n, strengths, tstate, s1, s2, has_bias):
+            raise IncompatibleError(
+                f"criterion {n!r} does not apply to this state/configuration")
+    return names
+
+
+def _resolve_angles(angles_arg, decomp, strengths, operator: str, s1: float, s2: float,
+                    grid: int = 64):
     """Explicit triple, or the best angles for this strength pattern.
 
     With equal per-side strengths the closed-form optimal-angle family is
@@ -114,21 +136,17 @@ def _resolve_angles(angles_arg, decomp, strengths, operator: str, grid: int = 64
         for a in (tx, ty, tz):
             if not (0.0 <= a <= np.pi + 1e-12):
                 raise ConfigError("angles must lie in [0, pi]")
-        return (tx, ty, tz), "explicit"
-    s1, s2 = _svals(decomp)
+        return tx, ty, tz
     op = OPERATORS[operator]
     if strengths.equal_per_side:
-        return op.closed_form("equal_strength_angles")(s1, s2), "optimal"
+        return op.closed_form("equal_strength_angles")(s1, s2)
     ang, _ = op.closed_form("optimal_angles")(decomp.t_matrix, strengths, resolution=grid)
-    return ang, "grid"
+    return ang
 
 
 def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
-                    angles, tstate: bool) -> BoundReport:
+                    angles, tstate: bool, s1: float) -> BoundReport:
     t, st = decomp.t_matrix, strengths
-    s1, _ = _svals(decomp)
-    if name not in CRITERION_NAMES:
-        raise ConfigError(f"unknown criterion {name!r} for operator {operator}")
     closed_form = OPERATORS[operator].closed_form(name)
     if name in ("unbiased_general", "tstate_general"):
         return closed_form(t, st, angles)
@@ -209,45 +227,26 @@ def _emit(payload: dict, fmt: str, out_path):
 
 
 def _operators(arg: str) -> list[str]:
-    if arg == "both":
-        return list(OPERATORS)
-    if arg in OPERATORS:
-        return [arg]
-    raise ConfigError("--operator must be mermin, svetlichny or both")
+    return list(OPERATORS) if arg == "both" else [arg]
 
 
 def cmd_bound(args) -> int:
     spec = parse_state_spec(args.state)
-    decomp, state_info = _state_context(spec)
+    decomp, state_info, tstate, (s1, s2) = _state_context(spec)
     strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
     biases = np.array(_parse_floats(args.biases, 6, "--biases")) if args.biases else np.zeros(6)
     if np.any(np.abs(biases) > 1.0 - strengths.as_array() + 1e-12):
         raise ConfigError("each |bias| must satisfy |bias| <= 1 - strength")
     has_bias = bool(np.any(np.abs(biases) > 0))
-    tstate = is_tstate(decomp)
-    s1, s2 = _svals(decomp)
+    names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias)
 
     reports = []
     for operator in _operators(args.operator):
-        if args.criteria == "all-applicable":
-            names = [n for n in CRITERION_NAMES
-                     if _applicable(n, strengths, tstate, s1, s2, has_bias)]
-            if not names:
-                raise IncompatibleError(
-                    "no criterion applies: biased observables require a T-state")
-        else:
-            names = [n.strip() for n in args.criteria.split(",") if n.strip()]
-            for n in names:
-                if n not in CRITERION_NAMES:
-                    raise ConfigError(f"unknown criterion {n!r}")
-                if not _applicable(n, strengths, tstate, s1, s2, has_bias):
-                    raise IncompatibleError(
-                        f"criterion {n!r} does not apply to this state/configuration")
-        angles, _ = _resolve_angles(args.angles, decomp, strengths, operator,
-                                    grid=args.angle_grid)
+        angles = _resolve_angles(args.angles, decomp, strengths, operator, s1, s2,
+                                 grid=args.angle_grid)
         op_reports = []
         for name in names:
-            report = _compute_report(name, operator, decomp, strengths, angles, tstate)
+            report = _compute_report(name, operator, decomp, strengths, angles, tstate, s1)
             if args.oracle_restarts:
                 report = _attach_oracle(name, operator, report, decomp, strengths,
                                         biases, args.oracle_restarts, args.seed, tstate)
@@ -289,56 +288,45 @@ def cmd_scan(args) -> int:
 
     spec = parse_state_spec(args.state)
     operators = _operators(args.operator)
+    axis = args.scan_axis
+    if axis != "visibility":
+        context = _state_context(spec)
+    if axis != "strength_all":
+        strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
+    if axis == "angle_x":
+        base = _parse_floats(args.angles, 3, "--angles") if args.angles and args.angles != "optimal" \
+            else (np.pi / 2, np.pi / 2, np.pi / 2)
     rows = []
     meta: dict = {}
 
     for index, value in enumerate(grid):
-        if args.scan_axis == "strength_all":
+        angles_arg = args.angles
+        if axis == "strength_all":
             strengths = Strengths.uniform(float(value))
-            decomp, _ = _state_context(spec)
-            angles_arg = args.angles
-        elif args.scan_axis == "visibility":
-            mixed = StateSpec(kind="mix", base=spec, visibility=float(value))
-            decomp, _ = _state_context(mixed)
-            strengths = Strengths.from_iterable(
-                _parse_floats(args.strengths, 6, "--strengths"))
-            angles_arg = args.angles
-        elif args.scan_axis == "angle_x":
-            decomp, _ = _state_context(spec)
-            strengths = Strengths.from_iterable(
-                _parse_floats(args.strengths, 6, "--strengths"))
-            base = _parse_floats(args.angles, 3, "--angles") if args.angles and args.angles != "optimal" \
-                else (np.pi / 2, np.pi / 2, np.pi / 2)
+        elif axis == "visibility":
+            context = _state_context(StateSpec(kind="mix", base=spec, visibility=float(value)))
+        else:  # angle_x
             angles_arg = f"{value},{base[1]},{base[2]}"
-        else:
-            raise ConfigError("--scan-axis must be strength_all, visibility or angle_x")
+        decomp, _, tstate, (s1, s2) = context
 
-        tstate = is_tstate(decomp)
-        s1, s2 = _svals(decomp)
-        has_bias = False
+        names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias=False)
         row = {"index": index, "axis_value": float(value)}
         for operator in operators:
-            names = [n for n in CRITERION_NAMES
-                     if _applicable(n, strengths, tstate, s1, s2, has_bias)] \
-                if args.criteria == "all-applicable" else \
-                [n.strip() for n in args.criteria.split(",") if n.strip()]
-            angles, _ = _resolve_angles(angles_arg, decomp, strengths, operator,
-                                        grid=args.angle_grid)
+            angles = _resolve_angles(angles_arg, decomp, strengths, operator, s1, s2,
+                                     grid=args.angle_grid)
             for name in names:
-                if not _applicable(name, strengths, tstate, s1, s2, has_bias):
-                    raise IncompatibleError(f"criterion {name!r} does not apply")
-                report = _compute_report(name, operator, decomp, strengths, angles, tstate)
+                report = _compute_report(name, operator, decomp, strengths, angles, tstate, s1)
                 row[f"{operator}_{name}"] = report.bound_value
                 row[f"{operator}_{name}_violated"] = bool(
                     report.bound_value > OPERATORS[operator].classical_limit)
         rows.append(row)
 
-        if index == 0 and args.scan_axis == "strength_all" and tstate:
-            p = float(np.hypot(s1, s2))
-            for operator in operators:
-                if p > OPERATORS[operator].window_threshold:
-                    ru, rb = OPERATORS[operator].closed_form("biased_window")(p)
-                    meta[f"{operator}_window"] = {"r_unbiased": ru, "r_biased": rb}
+    if axis == "strength_all" and tstate:
+        p = float(np.hypot(s1, s2))
+        for operator in operators:
+            if p > OPERATORS[operator].window_threshold:
+                ru, rb = OPERATORS[operator].closed_form("biased_window")(p)
+                meta[f"{operator}_window"] = {"r_unbiased": ru, "r_biased": rb}
 
     payload = {"state": args.state,
                "config": {"scan_axis": args.scan_axis, "range": [lo, hi, steps],

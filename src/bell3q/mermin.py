@@ -52,38 +52,14 @@ def _t_svals(t) -> tuple[float, float]:
     return float(trip.values[0]), float(trip.values[1])
 
 
-def _abcd(s: Strengths) -> tuple[float, float, float, float]:
-    rx, rxp, ry, ryp, rz, rzp = s.as_array()
-    a = rx * ry * rzp + rx * ryp * rz + rxp * ry * rz - rxp * ryp * rzp
-    b = -rx * ry * rzp + rx * ryp * rz + rxp * ry * rz + rxp * ryp * rzp
-    c = rx * ry * rzp + rx * ryp * rz - rxp * ry * rz + rxp * ryp * rzp
-    d = rx * ry * rzp - rx * ryp * rz + rxp * ry * rz + rxp * ryp * rzp
-    return a, b, c, d
-
-
 def build_v_matrix(strengths: Strengths, angles) -> np.ndarray:
     """The 3x9 coefficient matrix of the Mermin form in the half-angle frame.
 
     Rows live on the party-X frame (sum, difference, normal); columns on the
     flattened (Y-frame, Z-frame) pairs with the package's 3*j + k convention.
-    Only the 2x2 blocks at columns (0, 1) and (3, 4) are populated; the third
-    row is structurally zero, so the third singular value is exactly 0.
+    Only the 2x2 blocks at columns (0, 1) and (3, 4) are populated.
     """
-    tx, ty, tz = angles
-    cx, sx = np.cos(tx / 2.0), np.sin(tx / 2.0)
-    cy, sy = np.cos(ty / 2.0), np.sin(ty / 2.0)
-    cz, sz = np.cos(tz / 2.0), np.sin(tz / 2.0)
-    a, b, c, d = _abcd(strengths)
-    v = np.zeros((3, 9))
-    v[0, 0] = a * cx * cy * cz
-    v[0, 1] = b * cx * cy * sz
-    v[1, 0] = c * sx * cy * cz
-    v[1, 1] = -d * sx * cy * sz
-    v[0, 3] = d * cx * sy * cz
-    v[0, 4] = -c * cx * sy * sz
-    v[1, 3] = -b * sx * sy * cz
-    v[1, 4] = -a * sx * sy * sz
-    return v
+    return OPERATORS["mermin"].coefficient_matrix(strengths, angles)
 
 
 def _i_coefficients(s: Strengths):
@@ -276,7 +252,8 @@ def mermin_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float,
     ty = float(np.arcsin(np.clip(np.sqrt(ratio), 0.0, 1.0)))
     criterion = "mermin_x_asymmetric"
     if tstate:
-        value += 2.0 * (1.0 - rx) * (1.0 - ry) * (1.0 - rz)
+        # k_max at these strengths: R_X >= R_X' makes 1 - R_X' the larger slack
+        value += 2.0 * (1.0 - rxp) * (1.0 - ry) * (1.0 - rz)
         criterion = "mermin_x_asymmetric_tstate"
     return BoundReport(
         bound_value=float(value),

@@ -9,6 +9,9 @@ In the homogeneous form h = (B, R n) the observable is sum_mu h[mu] sigma_mu,
 so a triple correlator is Lambda[mu, nu, gamma] h_x[mu] h_y[nu] h_z[gamma]
 over the state's Pauli coefficients.  A Bell operator is a 2x2x2 sign tensor
 over the unprimed/primed choice of each party, contracted with the same form.
+With each party's directions written as half-angle rows times an orthogonal
+frame, the same sign tensor gives the coefficient matrix (V for Mermin, W for
+Svetlichny) that pairs with the correlation matrix T.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from importlib import import_module
 
 import numpy as np
 
-from .pauli import PAULI, CorrelationDecomposition
+from .pauli import CorrelationDecomposition
 
 __all__ = [
     "GeneralObservable",
@@ -30,14 +33,10 @@ __all__ = [
     "Operator",
     "OPERATORS",
     "VARIANT_SWAPS",
+    "half_angle_rows",
 ]
 
 CONSTRAINT_TOL = 1e-12
-
-
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,10 @@ class GeneralObservable:
         direction.flags.writeable = False
         object.__setattr__(self, "direction", direction)
 
-    @classmethod
-    def sharp(cls, direction) -> "GeneralObservable":
-        return cls(bias=0.0, strength=1.0, direction=_unit(direction))
-
     @property
     def homogeneous(self) -> np.ndarray:
         """(B, R n): the coefficients of the observable over (I, sigma_x, sigma_y, sigma_z)."""
         return np.concatenate(([self.bias], self.strength * self.direction))
-
-    def matrix(self) -> np.ndarray:
-        n = self.direction
-        return self.bias * PAULI[0] + self.strength * (
-            n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3])
 
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
@@ -135,6 +125,16 @@ class MeasurementSetting:
         return np.stack([o.homogeneous for o in self.observables]).reshape(3, 2, 4)
 
 
+def half_angle_rows(theta) -> np.ndarray:
+    """(2, 3): u0 = (cos theta/2, sin theta/2, 0) and u1 = (cos theta/2, -sin theta/2, 0).
+
+    A party's unprimed and primed directions at relative angle theta are these
+    rows times an orthogonal frame: u0 @ F and u1 @ F.
+    """
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, s, 0.0], [c, -s, 0.0]])
+
+
 @dataclass(frozen=True)
 class Operator:
     """One Bell operator as data.
@@ -160,6 +160,18 @@ class Operator:
     def closed_form(self, role: str):
         return getattr(import_module(f".{self.name}", __package__), self.closed_forms[role])
 
+    def coefficient_matrix(self, strengths, angles) -> np.ndarray:
+        """The 3x9 matrix C with <operator> = sum C * (F_x T (F_y kron F_z)^T) for
+        unbiased observables whose directions are half-angle rows times frames.
+
+        C[i, j, k] = sum S[a,b,c] R_Xa R_Yb R_Zc u_a[i] v_b[j] w_c[k], flattened
+        to column 3*j + k.  The third row and every column with j = 2 or k = 2
+        are structurally zero, so the third singular value is exactly 0.
+        """
+        r = strengths.as_array().reshape(3, 2, 1)
+        u, v, w = (r[p] * half_angle_rows(theta) for p, theta in enumerate(angles))
+        return np.einsum("abc,ai,bj,ck->ijk", self.signs, u, v, w).reshape(3, 9)
+
 
 class _OperatorLookup(dict):
     def __missing__(self, kind):
@@ -175,7 +187,6 @@ OPERATORS = _OperatorLookup(
         classical_limit=2.0,
         window_threshold=1.0,
         closed_forms={
-            "coefficient_matrix": "build_v_matrix",
             "plus_minus": "i_plus_minus",
             "equal_strength_angles": "equal_strength_angles",
             "optimal_angles": "optimal_unbiased_angles",
@@ -194,7 +205,6 @@ OPERATORS = _OperatorLookup(
         classical_limit=4.0,
         window_threshold=float(np.sqrt(2.0)),
         closed_forms={
-            "coefficient_matrix": "build_w_matrix",
             "plus_minus": "j_plus_minus",
             "equal_strength_angles": "equal_strength_angles_svetlichny",
             "optimal_angles": "optimal_unbiased_angles_svetlichny",

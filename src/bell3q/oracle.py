@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .observables import OPERATORS, MeasurementSetting
+from .observables import OPERATORS, MeasurementSetting, half_angle_rows
 from .pauli import CorrelationDecomposition, as_t_matrix
 from .reports import Strengths
 from .smallmat import singular_triple
@@ -289,7 +289,7 @@ def construct_saturating_setting(t, strengths: Strengths, angles,
     right singular subspace of T onto that of the coefficient matrix.
     """
     t = as_t_matrix(t)
-    v = OPERATORS[operator_kind].closed_form("coefficient_matrix")(strengths, angles)
+    v = OPERATORS[operator_kind].coefficient_matrix(strengths, angles)
 
     trip_t = singular_triple(t)
     trip_v = singular_triple(v)
@@ -331,13 +331,8 @@ def construct_saturating_setting(t, strengths: Strengths, angles,
     if residual > CONSTRUCT_RESIDUAL * max(1.0, target):
         raise NonConstructibleError(residual)
 
-    fx, fy, fz = best_frames
-    tx, ty, tz = angles
-    directions = []
-    for frame, theta in ((fx, tx), (fy, ty), (fz, tz)):
-        ch, sh = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        directions.append(ch * frame[0] + sh * frame[1])
-        directions.append(ch * frame[0] - sh * frame[1])
+    directions = np.concatenate([half_angle_rows(theta) @ frame
+                                 for frame, theta in zip(best_frames, angles)])
     return MeasurementSetting.from_arrays(
         np.zeros(6), strengths.as_array(), directions)
 

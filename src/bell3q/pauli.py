@@ -51,7 +51,7 @@ def _kron3(a, b, c):
 
 
 # All 64 basis operators sigma_mu x sigma_nu x sigma_gamma, indexed by
-# (mu, nu, gamma) in row-major order.  Built once; ~4 MB.
+# (mu, nu, gamma) in row-major order.  Built once; 64 KiB (64 * 8 * 8 complex128).
 _BASIS = np.stack([
     _kron3(PAULI[mu], PAULI[nu], PAULI[ga])
     for mu, nu, ga in itertools.product(range(4), repeat=3)

@@ -62,14 +62,6 @@ class Strengths:
                 and abs(self.ry - self.ryp) <= RANGE_TOL
                 and abs(self.rz - self.rzp) <= RANGE_TOL)
 
-    def swapped(self, pattern) -> "Strengths":
-        vals = self.as_array()
-        for party, flag in enumerate(pattern):
-            if flag:
-                i = 2 * party
-                vals[i], vals[i + 1] = vals[i + 1], vals[i]
-        return Strengths(*vals)
-
 
 @dataclass(frozen=True)
 class BoundReport:

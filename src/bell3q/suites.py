@@ -52,8 +52,7 @@ def suite_closed_form(seed: int, budget: int) -> SuiteResult:
         st = _random_strengths(rng)
         angles = tuple(rng.uniform(0.0, np.pi, 3))
         for op in OPERATORS.values():
-            sv = np.linalg.svd(op.closed_form("coefficient_matrix")(st, angles),
-                               compute_uv=False)
+            sv = np.linalg.svd(op.coefficient_matrix(st, angles), compute_uv=False)
             plus, minus = op.closed_form("plus_minus")(st, angles)
             worst = max(worst, abs(plus - (sv[0] + sv[1])), abs(minus - (sv[0] - sv[1])))
     tol = 1e-10
@@ -128,8 +127,7 @@ def suite_tightness(seed: int, budget: int) -> SuiteResult:
         s3 = rng.uniform(0.0, s2)
         op = OPERATORS[("mermin", "svetlichny")[i % 2]]
         angles = op.closed_form("equal_strength_angles")(s1, s2)
-        t = saturable_tensor(rng, op.closed_form("coefficient_matrix")(st, angles),
-                             s1, s2, s3)
+        t = saturable_tensor(rng, op.coefficient_matrix(st, angles), s1, s2, s3)
         bound = op.closed_form("equal_strengths")(t, *r).bound_value
         decomp = decomposition_from_t(t.reshape(3, 3, 3))
         cfg = SeeSawConfig(restarts=config.restarts, max_sweeps=config.max_sweeps,

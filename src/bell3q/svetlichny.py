@@ -41,39 +41,13 @@ __all__ = [
 SVETLICHNY_CLASSICAL_BOUND = OPERATORS["svetlichny"].classical_limit
 
 
-def _abcd_pm(s: Strengths):
-    rx, rxp, ry, ryp, rz, rzp = s.as_array()
-    zp, zm = rz + rzp, rz - rzp
-    g1, g2, g3, g4 = (rx * ry - rxp * ryp), (rx * ryp + rxp * ry), \
-        (rx * ry + rxp * ryp), (rx * ryp - rxp * ry)
-    a_p, a_m = g1 * zp + g2 * zm, g1 * zp - g2 * zm
-    b_p, b_m = g2 * zp + g1 * zm, g2 * zp - g1 * zm
-    c_p, c_m = g3 * zp + g4 * zm, g3 * zp - g4 * zm
-    d_p, d_m = g4 * zp + g3 * zm, g4 * zp - g3 * zm
-    return a_p, a_m, b_p, b_m, c_p, c_m, d_p, d_m
-
-
 def build_w_matrix(strengths: Strengths, angles) -> np.ndarray:
     """The 3x9 Svetlichny coefficient matrix in the half-angle frame.
 
     Same layout as the Mermin V matrix: 2x2 blocks at columns (0, 1) and
     (3, 4), third row structurally zero.
     """
-    tx, ty, tz = angles
-    cx, sx = np.cos(tx / 2.0), np.sin(tx / 2.0)
-    cy, sy = np.cos(ty / 2.0), np.sin(ty / 2.0)
-    cz, sz = np.cos(tz / 2.0), np.sin(tz / 2.0)
-    a_p, a_m, b_p, b_m, c_p, c_m, d_p, d_m = _abcd_pm(strengths)
-    w = np.zeros((3, 9))
-    w[0, 0] = a_p * cx * cy * cz
-    w[0, 1] = b_p * cx * cy * sz
-    w[1, 0] = c_p * sx * cy * cz
-    w[1, 1] = d_p * sx * cy * sz
-    w[0, 3] = c_m * cx * sy * cz
-    w[0, 4] = -d_m * cx * sy * sz
-    w[1, 3] = a_m * sx * sy * cz
-    w[1, 4] = -b_m * sx * sy * sz
-    return w
+    return OPERATORS["svetlichny"].coefficient_matrix(strengths, angles)
 
 
 def _j_coefficients(s: Strengths):

@@ -7,12 +7,13 @@ import json
 import numpy as np
 
 from bell3q import Strengths, decompose, ghz_state, svetlichny_bound_unbiased
-from bell3q.cli import main
+from bell3q.cli import CRITERION_NAMES, main
 
 GHZ_TENSOR_27 = ",".join(str(x) for x in
                          [1, 0, 0, 0, -1, 0, 0, 0, 0,
                           0, 0, -1, -1, 0, 0, 0, 0, 0,
                           0, 0, 0, 0, 0, 0, 0, 0, 0])
+UNEQUAL_STRENGTHS = "0.9,0.8,0.7,0.7,0.6,0.6"
 
 
 def run(args, capsys):
@@ -152,16 +153,31 @@ class TestBound:
 
 class TestScan:
     def test_single_step_matches_bound(self, capsys):
-        code, out, _ = run(["scan", "--state", "ghz", "--operator", "mermin",
-                            "--scan-axis", "strength_all", "--range", "0.9,0.9,1",
-                            "--criteria", "equal_strengths"], capsys)
-        assert code == 0
-        row = json.loads(out)["rows"][0]
-        code, out, _ = run(["bound", "--state", "ghz", "--operator", "mermin",
-                            "--strengths", ",".join(["0.9"] * 6),
-                            "--criteria", "equal_strengths"], capsys)
-        bound = json.loads(out)["reports"][0]["bound"]
-        assert abs(row["mermin_equal_strengths"] - bound) < 1e-12
+        cases = [
+            ("strength_all", ["--state", "ghz"],
+             ["--state", "ghz", "--strengths", ",".join(["0.9"] * 6)]),
+            ("visibility", ["--state", "ghz", "--strengths", UNEQUAL_STRENGTHS],
+             ["--state", "mix:ghz:0.9", "--strengths", UNEQUAL_STRENGTHS]),
+            ("angle_x", ["--state", f"tstate:{GHZ_TENSOR_27}", "--strengths", UNEQUAL_STRENGTHS],
+             ["--state", f"tstate:{GHZ_TENSOR_27}", "--strengths", UNEQUAL_STRENGTHS,
+              "--angles", f"0.9,{np.pi / 2},{np.pi / 2}"]),
+        ]
+        for axis, scan_args, bound_args in cases:
+            code, out, _ = run(["scan", *scan_args, "--operator", "both",
+                                "--scan-axis", axis, "--range", "0.9,0.9,1"], capsys)
+            assert code == 0
+            row = json.loads(out)["rows"][0]
+            code, out, _ = run(["bound", *bound_args, "--operator", "both"], capsys)
+            assert code == 0
+            reports = json.loads(out)["reports"]
+            for operator in ("mermin", "svetlichny"):
+                names = [n for n in CRITERION_NAMES if f"{operator}_{n}" in row]
+                bounds = [r["bound"] for r in reports if r["operator"] == operator
+                          and not r["criterion"].endswith("_tightest_applicable")]
+                # bound reports the applicable criteria in CRITERION_NAMES order
+                assert len(names) == len(bounds) > 1, (axis, operator)
+                for name, bound in zip(names, bounds):
+                    assert row[f"{operator}_{name}"] == bound, (axis, operator, name)
 
     def test_window_flip_on_ghz_tensor(self, capsys):
         code, out, _ = run(["scan", "--state", f"tstate:{GHZ_TENSOR_27}",

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bell3q import (Strengths, build_v_matrix, decompose, ghz_state, i_plus_minus,
-                    k_max, mermin_biased_window, mermin_bound_degenerate_smax,
+from bell3q import (SeeSawConfig, Strengths, bias_optimize, build_v_matrix, decompose,
+                    decomposition_from_t, ghz_state, i_plus_minus, k_max,
+                    mermin_biased_window, mermin_bound_degenerate_smax,
                     mermin_bound_equal_strengths, mermin_bound_tstate,
                     mermin_bound_unbiased, mermin_bound_x_asymmetric,
                     mermin_six_variant_criterion, mermin_sufficient_orthogonal)
@@ -367,6 +368,17 @@ class TestXAsymmetric:
     def test_rejects_wrong_order(self):
         with pytest.raises(ValueError, match="rx >= rxp"):
             mermin_bound_x_asymmetric(ghz_t(), 0.2, 0.8, 1.0, 1.0)
+
+    def test_tstate_bound_covers_biased_optimum(self):
+        # with R_X > R_X' the bias-only maximum uses the larger slack 1 - R_X'
+        t = np.zeros((3, 3, 3))
+        t[0, 0, 0], t[1, 1, 1] = 0.3, 0.2
+        st = Strengths(0.9, 0.3, 0.5, 0.5, 0.5, 0.5)
+        bound = mermin_bound_x_asymmetric(t.reshape(3, 9), 0.9, 0.3, 0.5, 0.5,
+                                          tstate=True).bound_value
+        best = bias_optimize(decomposition_from_t(t), st, "mermin",
+                             SeeSawConfig(restarts=8)).value
+        assert best <= bound + 1e-12
 
 
 class TestDegenerateSmax:

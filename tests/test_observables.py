@@ -4,10 +4,10 @@
 import numpy as np
 import pytest
 
-from bell3q import (GeneralObservable, MeasurementSetting, ThreeQubitState,
-                    decompose, ghz_state, mermin_expectation,
-                    svetlichny_expectation, triple_expectation,
-                    variant_expectations)
+from bell3q import (GeneralObservable, MeasurementSetting, Strengths, ThreeQubitState,
+                    build_v_matrix, build_w_matrix, decompose, decomposition_from_t,
+                    ghz_state, mermin_expectation, svetlichny_expectation,
+                    triple_expectation, variant_expectations)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -203,3 +203,28 @@ class TestVariants:
         swaps = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
         expected = [mermin_expectation(d, s.swapped(p)) for p in swaps]
         np.testing.assert_allclose(values, expected, atol=1e-14)
+
+
+class TestCoefficientMatrixLayout:
+    """Entry by entry, not only through singular values: with each party's
+    directions (cos t/2, +-sin t/2, 0) @ F, the expectation is
+    sum C * (F_x T (F_y kron F_z)^T) for C = V (Mermin) or W (Svetlichny)."""
+
+    def test_expectation_is_the_frame_contraction(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            t = rng.uniform(-1, 1, (3, 9))
+            st = Strengths.from_iterable(rng.uniform(0, 1, 6))
+            angles = rng.uniform(0, np.pi, 3)
+            frames = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)]
+            directions = []
+            for f, theta in zip(frames, angles):
+                c, s = np.cos(theta / 2), np.sin(theta / 2)
+                directions += [c * f[0] + s * f[1], c * f[0] - s * f[1]]
+            setting = MeasurementSetting.from_arrays(np.zeros(6), st.as_array(), directions)
+            d = decomposition_from_t(t.reshape(3, 3, 3))
+            rotated = frames[0] @ t @ np.kron(frames[1], frames[2]).T
+            for expectation, build in ((mermin_expectation, build_v_matrix),
+                                       (svetlichny_expectation, build_w_matrix)):
+                expected = np.sum(build(st, angles) * rotated)
+                assert abs(expectation(d, setting) - expected) < 1e-12

@@ -57,17 +57,15 @@ class TestWMatrix:
 
     def test_equal_z_strengths_collapse_pm(self):
         # with R_Z = R_Z' the plus and minus coefficient families coincide,
-        # which shows up as a symmetry of the two 2x2 blocks
+        # which shows up as a symmetry of the two 2x2 blocks at orthogonal angles
         rng = np.random.default_rng(1)
-        from bell3q.svetlichny import _abcd_pm
         for _ in range(20):
             vals = rng.uniform(0, 1, 5)
             st = Strengths(vals[0], vals[1], vals[2], vals[3], vals[4], vals[4])
-            a_p, a_m, b_p, b_m, c_p, c_m, d_p, d_m = _abcd_pm(st)
-            assert abs(a_p - a_m) < 1e-14
-            assert abs(b_p - b_m) < 1e-14
-            assert abs(c_p - c_m) < 1e-14
-            assert abs(d_p - d_m) < 1e-14
+            w = np.abs(build_w_matrix(st, ORTH))
+            for first, second in (((0, 0), (1, 3)), ((0, 1), (1, 4)),
+                                  ((1, 0), (0, 3)), ((1, 1), (0, 4))):
+                assert abs(w[first] - w[second]) < 1e-14
 
     def test_third_singular_value_structurally_zero(self):
         rng = np.random.default_rng(2)
