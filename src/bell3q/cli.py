@@ -345,7 +345,8 @@ def cmd_verify(args) -> int:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: max deviation {result.max_deviation:.3e} "
               f"(tolerance {result.tolerance:.0e}, {result.instances} instances, "
-              f"{result.seconds:.2f}s) - {result.detail}")
+              f"{result.seconds:.2f}s) - {result.detail}; "
+              f"worst instance {result.worst_instance} (seed {args.seed})")
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 
@@ -362,23 +363,23 @@ def _build_parser() -> argparse.ArgumentParser:
                             "tstate:<9|27 floats> | random:<seed>")
         p.add_argument("--strengths", default="1,1,1,1,1,1",
                        help="six strengths rx,rxp,ry,ryp,rz,rzp in [0,1]")
-        p.add_argument("--biases", default=None, help="six biases (default zero)")
         p.add_argument("--angles", default=None,
                        help="tx,ty,tz in [0,pi] or 'optimal' (default)")
         p.add_argument("--operator", default="both",
                        choices=[*OPERATORS, "both"])
         p.add_argument("--criteria", default="all-applicable",
                        help="comma list of criteria or 'all-applicable'")
-        p.add_argument("--oracle-restarts", type=int, default=0,
-                       help="attach a see-saw oracle with this many restarts")
         p.add_argument("--angle-grid", type=int, default=64,
                        help="grid resolution per axis for optimal-angle search")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p_bound = sub.add_parser("bound", help="compute bounds for one configuration")
     common(p_bound)
+    p_bound.add_argument("--biases", default=None, help="six biases (default zero)")
+    p_bound.add_argument("--oracle-restarts", type=int, default=0,
+                         help="attach a see-saw oracle with this many restarts")
+    p_bound.add_argument("--seed", type=int, default=0)
 
     p_scan = sub.add_parser("scan", help="sweep one axis and tabulate bounds")
     common(p_scan)

@@ -252,8 +252,7 @@ def mermin_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float,
     ty = float(np.arcsin(np.clip(np.sqrt(ratio), 0.0, 1.0)))
     criterion = "mermin_x_asymmetric"
     if tstate:
-        # k_max at these strengths: R_X >= R_X' makes 1 - R_X' the larger slack
-        value += 2.0 * (1.0 - rxp) * (1.0 - ry) * (1.0 - rz)
+        value += k_max(Strengths(rx, rxp, ry, ry, rz, rz))
         criterion = "mermin_x_asymmetric_tstate"
     return BoundReport(
         bound_value=float(value),

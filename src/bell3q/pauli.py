@@ -208,12 +208,7 @@ def decomposition_from_t(t, *, check: bool = True) -> CorrelationDecomposition:
 
 def as_t_matrix(t) -> np.ndarray:
     """Accept a 3x9 matrix or 3x3x3 tensor, return the 3x9 form."""
-    t = np.asarray(t, dtype=float)
-    if t.shape == (3, 3, 3):
-        return t.reshape(3, 9)
-    if t.shape == (3, 9):
-        return t
-    raise ValueError(f"expected shape (3, 9) or (3, 3, 3), got {t.shape}")
+    return as_t_tensor(t).reshape(3, 9)
 
 
 def as_t_tensor(t) -> np.ndarray:

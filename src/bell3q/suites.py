@@ -38,6 +38,17 @@ class SuiteResult:
     instances: int
     seconds: float
     detail: str = ""
+    worst_instance: int = 0  # loop index of the largest deviation
+
+
+def _result(name: str, deviations: list, tol: float, t0: float, detail: str,
+            *, inclusive: bool = False) -> SuiteResult:
+    """Summary of one deviation per instance; passes below ``tol`` (or at it)."""
+    worst = max(deviations, default=0.0)
+    passed = worst <= tol if inclusive else worst < tol
+    index = int(np.argmax(deviations)) if deviations else 0
+    return SuiteResult(name, passed, worst, tol, len(deviations),
+                       time.perf_counter() - t0, detail, index)
 
 
 def _random_strengths(rng) -> Strengths:
@@ -46,19 +57,19 @@ def _random_strengths(rng) -> Strengths:
 
 def suite_closed_form(seed: int, budget: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     t0 = time.perf_counter()
     for _ in range(budget):
         st = _random_strengths(rng)
         angles = tuple(rng.uniform(0.0, np.pi, 3))
+        worst = 0.0
         for op in OPERATORS.values():
             sv = np.linalg.svd(op.coefficient_matrix(st, angles), compute_uv=False)
             plus, minus = op.closed_form("plus_minus")(st, angles)
             worst = max(worst, abs(plus - (sv[0] + sv[1])), abs(minus - (sv[0] - sv[1])))
-    tol = 1e-10
-    return SuiteResult("closed_form", worst < tol, worst, tol, budget,
-                       time.perf_counter() - t0,
-                       "closed-form I/J pairs vs singular values of V/W")
+        deviations.append(worst)
+    return _result("closed_form", deviations, 1e-10, t0,
+                   "closed-form I/J pairs vs singular values of V/W")
 
 
 def _enumerate_bias_max(strengths: Strengths, kind: str) -> float:
@@ -77,16 +88,15 @@ def _enumerate_bias_max(strengths: Strengths, kind: str) -> float:
 
 def suite_brute_force_kl(seed: int, budget: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     t0 = time.perf_counter()
     for _ in range(budget):
         st = _random_strengths(rng)
-        worst = max(worst, abs(mermin.k_max(st) - _enumerate_bias_max(st, "mermin")))
-        worst = max(worst, abs(svetlichny.l_max(st) - _enumerate_bias_max(st, "svetlichny")))
-    tol = 1e-12
-    return SuiteResult("brute_force_kl", worst <= tol, worst, tol, budget,
-                       time.perf_counter() - t0,
-                       "bias-only maxima vs 64-sign-pattern enumeration")
+        deviations.append(max(abs(mermin.k_max(st) - _enumerate_bias_max(st, "mermin")),
+                              abs(svetlichny.l_max(st)
+                                  - _enumerate_bias_max(st, "svetlichny"))))
+    return _result("brute_force_kl", deviations, 1e-12, t0,
+                   "bias-only maxima vs 64-sign-pattern enumeration", inclusive=True)
 
 
 def _random_rotation(rng) -> np.ndarray:
@@ -116,7 +126,7 @@ def saturable_tensor(rng, coeff_matrix: np.ndarray, s1: float, s2: float,
 
 def suite_tightness(seed: int, budget: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     t0 = time.perf_counter()
     config = SeeSawConfig(restarts=8, max_sweeps=300, convergence_tol=1e-13, seed=seed)
     for i in range(budget):
@@ -134,17 +144,15 @@ def suite_tightness(seed: int, budget: int) -> SuiteResult:
                            convergence_tol=config.convergence_tol,
                            seed=seed + 1000 * i, angle_constraints=angles)
         result = see_saw_maximize(decomp, st, np.zeros(6), op.name, cfg)
-        worst = max(worst, abs(bound - result.value))
-    tol = 1e-4
-    return SuiteResult("tightness", worst < tol, worst, tol, budget,
-                       time.perf_counter() - t0,
-                       "angle-constrained see-saw vs equal-strength bounds on "
-                       "alignment-compatible tensors")
+        deviations.append(abs(bound - result.value))
+    return _result("tightness", deviations, 1e-4, t0,
+                   "angle-constrained see-saw vs equal-strength bounds on "
+                   "alignment-compatible tensors")
 
 
 def suite_invariance(seed: int, budget: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     t0 = time.perf_counter()
     for _ in range(budget):
         t = rng.normal(size=(3, 9))
@@ -157,16 +165,15 @@ def suite_invariance(seed: int, budget: int) -> SuiteResult:
 
         sv_a = singular_values_3x9(t).values
         sv_b = singular_values_3x9(rotated).values
-        worst = max(worst, float(np.max(np.abs(sv_a - sv_b))))
+        worst = float(np.max(np.abs(sv_a - sv_b)))
 
         for op in OPERATORS.values():
             bound = op.closed_form("unbiased_general")
             worst = max(worst, abs(bound(t, st, angles).bound_value
                                    - bound(rotated, st, angles).bound_value))
-    tol = 1e-9
-    return SuiteResult("invariance", worst < tol, worst, tol, budget,
-                       time.perf_counter() - t0,
-                       "bounds and singular values under local rotations")
+        deviations.append(worst)
+    return _result("invariance", deviations, 1e-9, t0,
+                   "bounds and singular values under local rotations")
 
 
 SUITES = {

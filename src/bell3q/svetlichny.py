@@ -123,16 +123,10 @@ def svetlichny_bound_equal_strengths(t, rx: float, ry: float, rz: float) -> Boun
 
 
 def svetlichny_sufficient_orthogonal(t, strengths: Strengths) -> tuple[float, bool]:
-    """Violation certificate at orthogonal relative angles: (value, value > 4)."""
-    s1, s2 = _t_svals(t)
-    st = strengths
-    j0, *_ = _j_coefficients(st)
-    radical = 4.0 * st.rx * st.rxp * np.sqrt(
-        (st.ry**2 * st.rzp**2 + st.ryp**2 * st.rz**2)
-        * (st.ry**2 * st.rz**2 + st.ryp**2 * st.rzp**2))
-    j_p = np.sqrt(max(j0 + radical, 0.0))
-    j_m = np.sqrt(max(j0 - radical, 0.0))
-    value = float(0.5 * (j_p + j_m) * s1 + 0.5 * (j_p - j_m) * s2)
+    """Violation certificate at orthogonal relative angles: (value, value > 4).
+
+    The value is the unbiased pairing bound at (pi/2, pi/2, pi/2)."""
+    value = svetlichny_bound_unbiased(t, strengths, (np.pi / 2,) * 3).bound_value
     return value, value > SVETLICHNY_CLASSICAL_BOUND
 
 
@@ -234,7 +228,7 @@ def svetlichny_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float
         angles = (0.0, ty, ty)
     criterion = f"svetlichny_x_asymmetric_{branch}"
     if tstate:
-        value += 2.0 * (2.0 - rx - rxp) * (1.0 - ry) * (1.0 - rz)
+        value += l_max(Strengths(rx, rxp, ry, ry, rz, rz))
         criterion += "_tstate"
     return BoundReport(bound_value=float(value), criterion=criterion,
                        achieving_angles=angles)

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
+import pytest
 
 from bell3q import Strengths, decompose, ghz_state, svetlichny_bound_unbiased
 from bell3q.cli import CRITERION_NAMES, main
@@ -152,6 +154,14 @@ class TestBound:
 
 
 class TestScan:
+    @pytest.mark.parametrize("option", [["--biases", "0.1,0,0,0,0,0"],
+                                        ["--oracle-restarts", "2"], ["--seed", "3"]])
+    def test_bound_only_options_exit_2(self, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--state", "ghz", "--strengths", ",".join(["0.5"] * 6),
+                  "--scan-axis", "visibility", "--range", "1,1,1", *option])
+        assert info.value.code == 2
+
     def test_single_step_matches_bound(self, capsys):
         cases = [
             ("strength_all", ["--state", "ghz"],
@@ -232,6 +242,18 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", "invariance", "--budget", "40"],
                            capsys)
         assert code == 0
+
+    def test_worst_instance_reproduces(self, capsys):
+        code, out, _ = run(["verify", "--suite", "closed_form", "--budget", "50",
+                            "--seed", "3"], capsys)
+        assert code == 0 and "[PASS] closed_form" in out
+        match = re.search(r"max deviation (\S+) .*; worst instance (\d+) \(seed 3\)$",
+                          out.strip())
+        assert match, out
+        # the first index + 1 instances of the same seed hold the worst one
+        code, prefix, _ = run(["verify", "--suite", "closed_form", "--seed", "3",
+                               "--budget", str(int(match.group(2)) + 1)], capsys)
+        assert f"max deviation {match.group(1)} " in prefix
 
     def test_tightness_suite_passes(self, capsys):
         code, out, _ = run(["verify", "--suite", "tightness", "--budget", "6"],

@@ -6,7 +6,8 @@ import pytest
 from bell3q import (NonConstructibleError, SeeSawConfig, Strengths, ThreeQubitState,
                     bias_optimize, construct_saturating_setting, decompose,
                     decomposition_from_t, ghz_state, grid_scan, mermin_biased_window,
-                    mermin_bound_unbiased, mermin_expectation, see_saw_maximize,
+                    mermin_bound_equal_strengths, mermin_bound_unbiased,
+                    mermin_expectation, see_saw_maximize,
                     svetlichny_expectation)
 from bell3q.mermin import build_v_matrix, equal_strength_angles
 from bell3q.svetlichny import equal_strength_angles_svetlichny
@@ -121,6 +122,15 @@ class TestSeeSaw:
         np.testing.assert_allclose(got, angles, atol=1e-9)
 
 
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    def test_zero_gradient_pairs_sit_at_their_angles(self, kind):
+        angles = (0.0, np.pi, 1.0)
+        result = see_saw_maximize(mixed_decomp(), Strengths.uniform(0.6), np.zeros(6),
+                                  kind, SeeSawConfig(restarts=3, angle_constraints=angles))
+        np.testing.assert_allclose(result.setting.relative_angles, angles,
+                                   rtol=0, atol=1e-12)
+
+
 class TestSeeSawAgainstDenseTrace:
     @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
     def test_value_is_the_trace_at_the_returned_setting(self, kind):
@@ -203,6 +213,25 @@ class TestConstructSaturating:
         d = decomposition_from_t(t.reshape(3, 3, 3))
         target = 2 * r[0] * r[1] * r[2] * np.hypot(s1, s2)
         assert abs(mermin_expectation(d, setting) - target) < 1e-8
+
+    @pytest.mark.parametrize("seed", [5, 9, 10])
+    def test_near_degenerate_mermin_is_constructed(self, seed):
+        st = Strengths.equal(0.95, 0.7, 0.55)
+        s1, s2, s3 = 0.77, 0.74, 0.72
+        angles = equal_strength_angles(s1, s2)
+        t = saturable_tensor(np.random.default_rng(seed), build_v_matrix(st, angles),
+                             s1, s2, s3)
+        setting = construct_saturating_setting(t, st, angles, "mermin")
+        d = decomposition_from_t(t.reshape(3, 3, 3))
+        bound = mermin_bound_equal_strengths(t, 0.95, 0.7, 0.55).bound_value
+        assert abs(mermin_expectation(d, setting) - bound) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    def test_zero_tensor_sits_at_the_requested_angles(self, kind):
+        angles = (0.0, np.pi, 1.0)
+        setting = construct_saturating_setting(np.zeros((3, 9)), Strengths.uniform(0.6),
+                                               angles, kind)
+        np.testing.assert_allclose(setting.relative_angles, angles, rtol=0, atol=1e-12)
 
     def test_generic_tensor_reports_non_constructible(self):
         rng = np.random.default_rng(1234)
