@@ -123,13 +123,11 @@ def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2
     return names
 
 
-def _resolve_angles(angles_arg, decomp, strengths, operator: str, s1: float, s2: float,
-                    grid: int = 64):
+def _resolve_angles(angles_arg, decomp, strengths, operator: str, s1: float, s2: float):
     """Explicit triple, or the best angles for this strength pattern.
 
     With equal per-side strengths the closed-form optimal-angle family is
-    used; otherwise the closed-form bound is maximized on a grid^3 angle
-    grid.
+    used; otherwise the closed-form bound is maximized on a 64^3 angle grid.
     """
     if angles_arg and angles_arg != "optimal":
         tx, ty, tz = _parse_floats(angles_arg, 3, "--angles")
@@ -140,16 +138,23 @@ def _resolve_angles(angles_arg, decomp, strengths, operator: str, s1: float, s2:
     op = OPERATORS[operator]
     if strengths.equal_per_side:
         return op.closed_form("equal_strength_angles")(s1, s2)
-    ang, _ = op.closed_form("optimal_angles")(decomp.t_matrix, strengths, resolution=grid)
+    ang, _ = op.closed_form("optimal_angles")(decomp.t_matrix, strengths)
     return ang
 
 
 def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
-                    angles, tstate: bool, s1: float) -> BoundReport:
-    t, st = decomp.t_matrix, strengths
-    closed_form = OPERATORS[operator].closed_form(name)
-    if name in ("unbiased_general", "tstate_general"):
-        return closed_form(t, st, angles)
+                    angles, tstate: bool, s1: float, s2: float) -> BoundReport:
+    t, st, op = decomp.t_matrix, strengths, OPERATORS[operator]
+    if name == "unbiased_general":
+        return op.unbiased(s1, s2, st, angles)
+    if name == "tstate_general":
+        return op.tstate(s1, s2, st, angles)
+    if name == "six_variant":
+        value, _ = op.six_variant(s1, s2, st, angles)
+        return BoundReport(value, f"{operator}_six_variant",
+                           achieving_angles=tuple(angles),
+                           notes="criterion for the six exchanged operators")
+    closed_form = op.closed_form(name)
     if name == "equal_strengths":
         return closed_form(t, st.rx, st.ry, st.rz)
     if name == "orthogonal_sufficient":
@@ -157,11 +162,6 @@ def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
         return BoundReport(value, f"{operator}_orthogonal_sufficient",
                            achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
                            notes="violation certificate, not an upper bound")
-    if name == "six_variant":
-        value, _ = closed_form(t, st, angles)
-        return BoundReport(value, f"{operator}_six_variant",
-                           achieving_angles=tuple(angles),
-                           notes="criterion for the six exchanged operators")
     if name == "x_asymmetric":
         return closed_form(t, st.rx, st.rxp, st.ry, st.rz, tstate=tstate)
     return closed_form(st, s1, tstate=tstate)  # the last criterion, degenerate_smax
@@ -242,11 +242,10 @@ def cmd_bound(args) -> int:
 
     reports = []
     for operator in _operators(args.operator):
-        angles = _resolve_angles(args.angles, decomp, strengths, operator, s1, s2,
-                                 grid=args.angle_grid)
+        angles = _resolve_angles(args.angles, decomp, strengths, operator, s1, s2)
         op_reports = []
         for name in names:
-            report = _compute_report(name, operator, decomp, strengths, angles, tstate, s1)
+            report = _compute_report(name, operator, decomp, strengths, angles, tstate, s1, s2)
             if args.oracle_restarts:
                 report = _attach_oracle(name, operator, report, decomp, strengths,
                                         biases, args.oracle_restarts, args.seed, tstate)
@@ -280,10 +279,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lo, hi, steps = args.range.split(",")
-    lo, hi, steps = float(lo), float(hi), int(steps)
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
+    lo, hi, steps = _parse_floats(args.range, 3, "--range")
+    if not steps.is_integer() or steps < 1:
+        raise ConfigError(f"--range steps must be an integer >= 1, got {steps!r}")
+    steps = int(steps)
     grid = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
 
     spec = parse_state_spec(args.state)
@@ -312,10 +311,10 @@ def cmd_scan(args) -> int:
         names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias=False)
         row = {"index": index, "axis_value": float(value)}
         for operator in operators:
-            angles = _resolve_angles(angles_arg, decomp, strengths, operator, s1, s2,
-                                     grid=args.angle_grid)
+            angles = _resolve_angles(angles_arg, decomp, strengths, operator, s1, s2)
             for name in names:
-                report = _compute_report(name, operator, decomp, strengths, angles, tstate, s1)
+                report = _compute_report(name, operator, decomp, strengths, angles, tstate,
+                                         s1, s2)
                 row[f"{operator}_{name}"] = report.bound_value
                 row[f"{operator}_{name}_violated"] = bool(
                     report.bound_value > OPERATORS[operator].classical_limit)
@@ -325,7 +324,7 @@ def cmd_scan(args) -> int:
         p = float(np.hypot(s1, s2))
         for operator in operators:
             if p > OPERATORS[operator].window_threshold:
-                ru, rb = OPERATORS[operator].closed_form("biased_window")(p)
+                ru, rb = OPERATORS[operator].biased_window(p)
                 meta[f"{operator}_window"] = {"r_unbiased": ru, "r_biased": rb}
 
     payload = {"state": args.state,
@@ -369,8 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[*OPERATORS, "both"])
         p.add_argument("--criteria", default="all-applicable",
                        help="comma list of criteria or 'all-applicable'")
-        p.add_argument("--angle-grid", type=int, default=64,
-                       help="grid resolution per axis for optimal-angle search")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
 

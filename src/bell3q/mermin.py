@@ -24,7 +24,6 @@ from .observables import OPERATORS
 from .pauli import CorrelationDecomposition, as_t_matrix
 from .reports import BoundReport, ConsistencyError, Strengths
 from .smallmat import singular_values_3x9
-from .states import is_tstate
 
 __all__ = [
     "build_v_matrix",
@@ -68,10 +67,7 @@ def _i_coefficients(s: Strengths):
     ixy_z = rx * rxp * ry * ryp * (rz**2 - rzp**2)
     ixz_y = rx * rxp * rz * rzp * (ry**2 - ryp**2)
     iyz_x = ry * ryp * rz * rzp * (rx**2 - rxp**2)
-    iyz_0 = ry**2 * ryp**2 * (rz**4 + rzp**4)
-    izy_0 = rz**2 * rzp**2 * (ry**4 + ryp**4)
-    i1 = ry * ryp * rz * rzp
-    return i0, ixy_z, ixz_y, iyz_x, iyz_0, izy_0, i1
+    return i0, ixy_z, ixz_y, iyz_x
 
 
 def _clamp_square(value, what: str):
@@ -82,6 +78,26 @@ def _clamp_square(value, what: str):
     return np.maximum(value, 0.0)
 
 
+def _swing(strengths: Strengths, tx, ty, tz, scale: float, letter: str):
+    """scale R_X R_X' sin(tx) sqrt(radicand): the radical that I+- and J+- share."""
+    rx, rxp, ry, ryp, rz, rzp = strengths.as_array()
+    radicand = (ry**2 * ryp**2 * (rz**4 + rzp**4) * np.sin(ty) ** 2
+                + rz**2 * rzp**2 * (ry**4 + ryp**4) * np.sin(tz) ** 2
+                + (ry * ryp * rz * rzp) ** 2 * (1.0 - np.cos(2 * ty) * np.cos(2 * tz)))
+    radicand = _clamp_square(radicand, f"inner radicand of the {letter}+- closed form")
+    return scale * rx * rxp * np.sin(tx) * np.sqrt(radicand)
+
+
+def _root_pair(base, swing, letter: str):
+    """(sqrt(base + swing), sqrt(base - swing)), floats for scalar input."""
+    plus2 = _clamp_square(base + swing, f"{letter}_plus^2")
+    minus2 = _clamp_square(base - swing, f"{letter}_minus^2")
+    plus, minus = np.sqrt(plus2), np.sqrt(minus2)
+    if np.ndim(plus) == 0:
+        return float(plus), float(minus)
+    return plus, minus
+
+
 def i_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
     """(s1(V) + s2(V), s1(V) - s2(V)) in closed form.
 
@@ -90,32 +106,14 @@ def i_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
     the form the any-of-six-variants criterion uses.
     """
     tx, ty, tz = (np.asarray(a, dtype=float) for a in angles)
-    i0, ixy_z, ixz_y, iyz_x, iyz_0, izy_0, i1 = _i_coefficients(strengths)
-    rx, rxp = strengths.rx, strengths.rxp
-
-    radicand = (iyz_0 * np.sin(ty) ** 2 + izy_0 * np.sin(tz) ** 2
-                + i1**2 * (1.0 - np.cos(2 * ty) * np.cos(2 * tz)))
-    radicand = _clamp_square(radicand, "inner radicand of the Mermin closed form")
-
+    i0, ixy_z, ixz_y, iyz_x = _i_coefficients(strengths)
     terms = (ixy_z * np.cos(tx) * np.cos(ty),
              ixz_y * np.cos(tx) * np.cos(tz),
              iyz_x * np.cos(ty) * np.cos(tz))
     if absolute:
         terms = tuple(np.abs(term) for term in terms)
-    cross = terms[0] + terms[1] + terms[2]
-
-    base = i0 + 2.0 * cross
-    swing = 2.0 * rx * rxp * np.sin(tx) * np.sqrt(radicand)
-    ip2 = _clamp_square(base + swing, "I_plus^2")
-    im2 = _clamp_square(base - swing, "I_minus^2")
-    i_plus, i_minus = np.sqrt(ip2), np.sqrt(im2)
-    if np.ndim(i_plus) == 0:
-        return float(i_plus), float(i_minus)
-    return i_plus, i_minus
-
-
-def _pair_bound(s1: float, s2: float, plus, minus):
-    return 0.5 * (s1 + s2) * plus + 0.5 * (s1 - s2) * minus
+    base = i0 + 2.0 * (terms[0] + terms[1] + terms[2])
+    return _root_pair(base, _swing(strengths, tx, ty, tz, 2.0, "I"), "I")
 
 
 def mermin_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
@@ -123,13 +121,7 @@ def mermin_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
 
     Equals s1(T) s1(V) + s2(T) s2(V).
     """
-    s1, s2 = _t_svals(t)
-    ip, im = i_plus_minus(strengths, angles)
-    return BoundReport(
-        bound_value=_pair_bound(s1, s2, ip, im),
-        criterion="mermin_unbiased_general",
-        achieving_angles=tuple(float(a) for a in angles),
-    )
+    return OPERATORS["mermin"].unbiased(*_t_svals(t), strengths, angles)
 
 
 def equal_strength_angles(s1: float, s2: float) -> tuple[float, float, float]:
@@ -180,10 +172,7 @@ def mermin_six_variant_criterion(t, strengths: Strengths, angles) -> tuple[float
     per-side strengths all cross terms vanish and the criterion coincides
     exactly with the base bound.
     """
-    s1, s2 = _t_svals(t)
-    ip, im = i_plus_minus(strengths, angles, absolute=True)
-    value = float(_pair_bound(s1, s2, ip, im))
-    return value, value > MERMIN_CLASSICAL_BOUND
+    return OPERATORS["mermin"].six_variant(*_t_svals(t), strengths, angles)
 
 
 def k_max(strengths: Strengths) -> float:
@@ -209,14 +198,7 @@ def mermin_bound_tstate(t, strengths: Strengths, angles,
     achievable whenever the unbiased part is.  When ``decomp`` is supplied
     the state is checked to actually be a T-state.
     """
-    if decomp is not None and not is_tstate(decomp):
-        raise ValueError("state is not a T-state: local or bipartite blocks are nonzero")
-    base = mermin_bound_unbiased(t, strengths, angles)
-    return BoundReport(
-        bound_value=base.bound_value + k_max(strengths),
-        criterion="mermin_tstate_general",
-        achieving_angles=base.achieving_angles,
-    )
+    return OPERATORS["mermin"].tstate(*_t_svals(t), strengths, angles, decomp)
 
 
 def mermin_biased_window(p: float) -> tuple[float, float]:
@@ -228,11 +210,7 @@ def mermin_biased_window(p: float) -> tuple[float, float]:
     unbiased optimum exceeds 2; above the strictly smaller r_biased the
     biased optimum already does.
     """
-    if p <= 1.0:
-        raise ValueError(f"window requires sqrt(s1^2+s2^2) > 1, got {p!r}")
-    r_unbiased = p ** (-1.0 / 3.0)
-    r_biased = (-3.0 + np.sqrt(3.0) * np.sqrt(4.0 * p - 1.0)) / (2.0 * (p - 1.0))
-    return float(r_unbiased), float(r_biased)
+    return OPERATORS["mermin"].biased_window(p)
 
 
 def mermin_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float,
@@ -293,25 +271,11 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
     )
 
 
-def _grid_optimal_angles(plus_minus, t, strengths: Strengths, resolution: int,
-                         absolute: bool) -> tuple[tuple[float, float, float], float]:
-    """Grid-maximize 0.5(s1+s2)P + 0.5(s1-s2)M over the angle cube, with (P, M)
-    from the closed form ``plus_minus``; returns (angles, bound value)."""
-    s1, s2 = _t_svals(t)
-    grid = np.linspace(0.0, np.pi, resolution)
-    tx, ty, tz = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    plus, minus = plus_minus(strengths, (tx, ty, tz), absolute=absolute)
-    values = _pair_bound(s1, s2, plus, minus)
-    flat = int(np.argmax(values))
-    ix, iy, iz = np.unravel_index(flat, values.shape)
-    return (float(grid[ix]), float(grid[iy]), float(grid[iz])), float(values[ix, iy, iz])
-
-
-def optimal_unbiased_angles(t, strengths: Strengths, resolution: int = 64,
-                            *, absolute: bool = False) -> tuple[tuple[float, float, float], float]:
+def optimal_unbiased_angles(t, strengths: Strengths,
+                            resolution: int = 64) -> tuple[tuple[float, float, float], float]:
     """Grid-maximize the closed-form unbiased bound over the angle cube.
 
     Returns (angles, bound value).  Used when no closed-form optimal-angle
     result applies to the given strength pattern.
     """
-    return _grid_optimal_angles(i_plus_minus, t, strengths, resolution, absolute)
+    return OPERATORS["mermin"].grid_angles(*_t_svals(t), strengths, resolution)

@@ -22,6 +22,8 @@ from importlib import import_module
 import numpy as np
 
 from .pauli import CorrelationDecomposition
+from .reports import BoundReport
+from .states import is_tstate
 
 __all__ = [
     "GeneralObservable",
@@ -137,15 +139,19 @@ def half_angle_rows(theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """One Bell operator as data.
+    """One Bell operator as data, and the bounds both operators share.
 
     ``signs[a, b, c]`` is the coefficient of the product X^(a) Y^(b) Z^(c),
-    where index 1 selects the primed observable.  The closed forms live in
-    the module ``bell3q.<name>``; ``closed_forms`` maps each role to its
-    attribute name there, and :meth:`closed_form` looks the attribute up at
-    call time, so a replaced module attribute is seen by every caller.
-    ``window_threshold`` is the value of sqrt(s1^2 + s2^2) that the biased
-    window requires to be exceeded.
+    where index 1 selects the primed observable.  The closed forms that differ
+    between the operators live in the module ``bell3q.<name>``;
+    ``closed_forms`` maps each role to its attribute name there, and
+    :meth:`closed_form` looks the attribute up at call time, so a replaced
+    module attribute is seen by every caller.  ``window_threshold`` is the
+    value of sqrt(s1^2 + s2^2) that the biased window requires to be exceeded.
+
+    The methods after :meth:`coefficient_matrix` are the operator-generic
+    bounds.  Each takes the two largest singular values (s1, s2) of T and
+    pairs them with the record's ``plus_minus`` closed form.
     """
 
     name: str
@@ -172,6 +178,54 @@ class Operator:
         u, v, w = (r[p] * half_angle_rows(theta) for p, theta in enumerate(angles))
         return np.einsum("abc,ai,bj,ck->ijk", self.signs, u, v, w).reshape(3, 9)
 
+    def pair_bound(self, s1, s2, strengths, angles, *, absolute: bool = False):
+        """0.5(s1+s2) P + 0.5(s1-s2) M = s1 s1(C) + s2 s2(C), with (P, M) the
+        ``plus_minus`` closed form; angles may be broadcastable arrays."""
+        plus, minus = self.closed_form("plus_minus")(strengths, angles, absolute=absolute)
+        return 0.5 * (s1 + s2) * plus + 0.5 * (s1 - s2) * minus
+
+    def unbiased(self, s1, s2, strengths, angles) -> BoundReport:
+        return BoundReport(bound_value=self.pair_bound(s1, s2, strengths, angles),
+                           criterion=f"{self.name}_unbiased_general",
+                           achieving_angles=tuple(float(a) for a in angles))
+
+    def six_variant(self, s1, s2, strengths, angles) -> tuple[float, bool]:
+        """(value, value > classical limit) of the absolute-value pairing bound."""
+        value = float(self.pair_bound(s1, s2, strengths, angles, absolute=True))
+        return value, value > self.classical_limit
+
+    def tstate(self, s1, s2, strengths, angles, decomp=None) -> BoundReport:
+        """The unbiased bound plus the bias-only maximum ``bias_max``; with
+        ``decomp`` the state is checked to be a T-state."""
+        if decomp is not None and not is_tstate(decomp):
+            raise ValueError("state is not a T-state: local or bipartite blocks are nonzero")
+        base = self.unbiased(s1, s2, strengths, angles)
+        return BoundReport(bound_value=base.bound_value + self.closed_form("bias_max")(strengths),
+                           criterion=f"{self.name}_tstate_general",
+                           achieving_angles=base.achieving_angles)
+
+    def grid_angles(self, s1, s2, strengths, resolution: int = 64):
+        """(angles, value): the argmax of the unbiased bound on a resolution^3
+        grid over the angle cube [0, pi]^3."""
+        grid = np.linspace(0.0, np.pi, resolution)
+        cube = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
+        values = self.pair_bound(s1, s2, strengths, cube)
+        ix, iy, iz = np.unravel_index(int(np.argmax(values)), values.shape)
+        return (float(grid[ix]), float(grid[iy]), float(grid[iz])), float(values[ix, iy, iz])
+
+    def biased_window(self, p: float) -> tuple[float, float]:
+        """(r_unbiased, r_biased) for equal strengths R and p = sqrt(s1^2 + s2^2).
+
+        With q = p / window_threshold the unbiased and biased optima cross the
+        classical limit where R^3 q = 1 and R^3 q + (1 - R)^3 = 1.
+        """
+        if p <= self.window_threshold:
+            raise ValueError(f"window requires sqrt(s1^2+s2^2) > "
+                             f"{self.window_threshold:.6g}, got {p!r}")
+        q = p / self.window_threshold
+        r_biased = (-3.0 + np.sqrt(3.0) * np.sqrt(4.0 * q - 1.0)) / (2.0 * (q - 1.0))
+        return float(q ** (-1.0 / 3.0)), float(r_biased)
+
 
 class _OperatorLookup(dict):
     def __missing__(self, kind):
@@ -190,12 +244,10 @@ OPERATORS = _OperatorLookup(
             "plus_minus": "i_plus_minus",
             "equal_strength_angles": "equal_strength_angles",
             "optimal_angles": "optimal_unbiased_angles",
-            "biased_window": "mermin_biased_window",
             "unbiased_general": "mermin_bound_unbiased",
             "equal_strengths": "mermin_bound_equal_strengths",
             "orthogonal_sufficient": "mermin_sufficient_orthogonal",
-            "six_variant": "mermin_six_variant_criterion",
-            "tstate_general": "mermin_bound_tstate",
+            "bias_max": "k_max",
             "x_asymmetric": "mermin_bound_x_asymmetric",
             "degenerate_smax": "mermin_bound_degenerate_smax",
         }),
@@ -208,12 +260,10 @@ OPERATORS = _OperatorLookup(
             "plus_minus": "j_plus_minus",
             "equal_strength_angles": "equal_strength_angles_svetlichny",
             "optimal_angles": "optimal_unbiased_angles_svetlichny",
-            "biased_window": "svetlichny_biased_window",
             "unbiased_general": "svetlichny_bound_unbiased",
             "equal_strengths": "svetlichny_bound_equal_strengths",
             "orthogonal_sufficient": "svetlichny_sufficient_orthogonal",
-            "six_variant": "svetlichny_six_variant_criterion",
-            "tstate_general": "svetlichny_bound_tstate",
+            "bias_max": "l_max",
             "x_asymmetric": "svetlichny_bound_x_asymmetric_best",
             "degenerate_smax": "svetlichny_bound_degenerate_smax",
         }),

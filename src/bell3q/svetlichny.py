@@ -17,9 +17,7 @@ import numpy as np
 from .observables import OPERATORS
 from .pauli import CorrelationDecomposition
 from .reports import BoundReport, Strengths
-from .states import is_tstate
-from .mermin import (_clamp_square, _grid_optimal_angles, _i_coefficients, _pair_bound,
-                     _t_svals)
+from .mermin import _root_pair, _swing, _t_svals
 
 __all__ = [
     "build_w_matrix",
@@ -63,37 +61,18 @@ def j_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
     """(s1(W) + s2(W), s1(W) - s2(W)) in closed form; angles broadcastable."""
     tx, ty, tz = (np.asarray(a, dtype=float) for a in angles)
     j0, jyz_x, jxz_y, jxy_z = _j_coefficients(strengths)
-    _, _, _, _, iyz_0, izy_0, i1 = _i_coefficients(strengths)
-    rx, rxp = strengths.rx, strengths.rxp
-
-    radicand = (iyz_0 * np.sin(ty) ** 2 + izy_0 * np.sin(tz) ** 2
-                + i1**2 * (1.0 - np.cos(2 * ty) * np.cos(2 * tz)))
-    radicand = _clamp_square(radicand, "inner radicand of the Svetlichny closed form")
-
+    rx, rxp, ry, ryp, rz, rzp = strengths.as_array()
     terms = (jyz_x * np.cos(tx), jxz_y * np.cos(ty), jxy_z * np.cos(tz))
     if absolute:
         terms = tuple(np.abs(term) for term in terms)
-    cross = terms[0] + terms[1] + terms[2]
-    base = (j0 + 2.0 * cross
-            - 8.0 * rx * rxp * i1 * np.cos(tx) * np.cos(ty) * np.cos(tz))
-    swing = 4.0 * rx * rxp * np.sin(tx) * np.sqrt(radicand)
-    jp2 = _clamp_square(base + swing, "J_plus^2")
-    jm2 = _clamp_square(base - swing, "J_minus^2")
-    j_plus, j_minus = np.sqrt(jp2), np.sqrt(jm2)
-    if np.ndim(j_plus) == 0:
-        return float(j_plus), float(j_minus)
-    return j_plus, j_minus
+    base = (j0 + 2.0 * (terms[0] + terms[1] + terms[2])
+            - 8.0 * rx * rxp * (ry * ryp * rz * rzp) * np.cos(tx) * np.cos(ty) * np.cos(tz))
+    return _root_pair(base, _swing(strengths, tx, ty, tz, 4.0, "J"), "J")
 
 
 def svetlichny_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
     """Tight bound for unbiased observables; equals s1(T)s1(W) + s2(T)s2(W)."""
-    s1, s2 = _t_svals(t)
-    jp, jm = j_plus_minus(strengths, angles)
-    return BoundReport(
-        bound_value=_pair_bound(s1, s2, jp, jm),
-        criterion="svetlichny_unbiased_general",
-        achieving_angles=tuple(float(a) for a in angles),
-    )
+    return OPERATORS["svetlichny"].unbiased(*_t_svals(t), strengths, angles)
 
 
 def equal_strength_angles_svetlichny(s1: float, s2: float) -> tuple[float, float, float]:
@@ -137,10 +116,7 @@ def svetlichny_six_variant_criterion(t, strengths: Strengths, angles) -> tuple[f
     exchange-invariant and keeps its sign).  Coincides with the base bound
     for equal per-side strengths.
     """
-    s1, s2 = _t_svals(t)
-    jp, jm = j_plus_minus(strengths, angles, absolute=True)
-    value = float(_pair_bound(s1, s2, jp, jm))
-    return value, value > SVETLICHNY_CLASSICAL_BOUND
+    return OPERATORS["svetlichny"].six_variant(*_t_svals(t), strengths, angles)
 
 
 def l_max(strengths: Strengths) -> float:
@@ -162,14 +138,7 @@ def l_max(strengths: Strengths) -> float:
 def svetlichny_bound_tstate(t, strengths: Strengths, angles,
                             decomp: CorrelationDecomposition | None = None) -> BoundReport:
     """Bound for arbitrary observables on a T-state: unbiased part plus l_max."""
-    if decomp is not None and not is_tstate(decomp):
-        raise ValueError("state is not a T-state: local or bipartite blocks are nonzero")
-    base = svetlichny_bound_unbiased(t, strengths, angles)
-    return BoundReport(
-        bound_value=base.bound_value + l_max(strengths),
-        criterion="svetlichny_tstate_general",
-        achieving_angles=base.achieving_angles,
-    )
+    return OPERATORS["svetlichny"].tstate(*_t_svals(t), strengths, angles, decomp)
 
 
 def svetlichny_biased_window(p: float) -> tuple[float, float]:
@@ -179,12 +148,7 @@ def svetlichny_biased_window(p: float) -> tuple[float, float]:
     with r_unbiased = (sqrt(2)/P)^(1/3) and the biased threshold strictly
     below it.
     """
-    root2 = np.sqrt(2.0)
-    if p <= root2:
-        raise ValueError(f"window requires sqrt(s1^2+s2^2) > sqrt(2), got {p!r}")
-    r_unbiased = (root2 / p) ** (1.0 / 3.0)
-    r_biased = (-3.0 + np.sqrt(3.0) * np.sqrt(2.0 * root2 * p - 1.0)) / (root2 * (p - root2))
-    return float(r_unbiased), float(r_biased)
+    return OPERATORS["svetlichny"].biased_window(p)
 
 
 _BRANCHES = ("orthogonal", "mixed", "parallel")
@@ -278,7 +242,6 @@ def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float,
                        achieving_angles=(tx, ty, tz))
 
 
-def optimal_unbiased_angles_svetlichny(t, strengths: Strengths, resolution: int = 64,
-                                       *, absolute: bool = False):
+def optimal_unbiased_angles_svetlichny(t, strengths: Strengths, resolution: int = 64):
     """Grid-maximize the closed-form unbiased bound over the angle cube."""
-    return _grid_optimal_angles(j_plus_minus, t, strengths, resolution, absolute)
+    return OPERATORS["svetlichny"].grid_angles(*_t_svals(t), strengths, resolution)

@@ -8,7 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from bell3q import Strengths, decompose, ghz_state, svetlichny_bound_unbiased
+from bell3q import (Strengths, build, decompose, ghz_state, mermin_bound_tstate,
+                    mermin_bound_unbiased, mermin_six_variant_criterion, parse_state_spec,
+                    svetlichny_bound_tstate, svetlichny_bound_unbiased,
+                    svetlichny_six_variant_criterion)
 from bell3q.cli import CRITERION_NAMES, main
 
 GHZ_TENSOR_27 = ",".join(str(x) for x in
@@ -153,7 +156,44 @@ class TestBound:
         assert abs(achieved.bound_value - report["bound"]) < 1e-12 * report["bound"]
 
 
+    @pytest.mark.parametrize("state,strengths", [
+        ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4"),
+        ("tstate:0.3,0,0,0,0.2,0,0,0,0", "0.9,0.6,0.8,0.7,0.6,0.5"),
+    ])
+    def test_rows_equal_the_library_functions(self, state, strengths, capsys):
+        """The CLI evaluates these rows from the state's (s1, s2); the public
+        functions take T and find the spectrum themselves."""
+        code, out, _ = run(["bound", "--state", state, "--strengths", strengths,
+                            "--operator", "both"], capsys)
+        assert code == 0
+        spec = parse_state_spec(state)
+        t = (np.asarray(spec.t_tensor).reshape(3, 3, 3) if spec.kind == "tstate"
+             else decompose(build(spec)).t_matrix)
+        st = Strengths.from_iterable(float(x) for x in strengths.split(","))
+        library = {
+            "mermin_unbiased_general": lambda a: mermin_bound_unbiased(t, st, a).bound_value,
+            "mermin_six_variant": lambda a: mermin_six_variant_criterion(t, st, a)[0],
+            "mermin_tstate_general": lambda a: mermin_bound_tstate(t, st, a).bound_value,
+            "svetlichny_unbiased_general":
+                lambda a: svetlichny_bound_unbiased(t, st, a).bound_value,
+            "svetlichny_six_variant": lambda a: svetlichny_six_variant_criterion(t, st, a)[0],
+            "svetlichny_tstate_general":
+                lambda a: svetlichny_bound_tstate(t, st, a).bound_value,
+        }
+        rows = [r for r in json.loads(out)["reports"] if r["criterion"] in library]
+        expected = 6 if spec.kind == "tstate" else 4
+        assert len(rows) == expected
+        for row in rows:
+            assert row["bound"] == library[row["criterion"]](tuple(row["angles"])), row
+
+
 class TestScan:
+    @pytest.mark.parametrize("bad", ["0,1", "0,1,x", "0,1,0", "0,1,2.5"])
+    def test_bad_range_exit_2(self, bad, capsys):
+        code, _, err = run(["scan", "--state", "ghz", "--scan-axis", "visibility",
+                            "--range", bad], capsys)
+        assert code == 2 and "--range" in err
+
     @pytest.mark.parametrize("option", [["--biases", "0.1,0,0,0,0,0"],
                                         ["--oracle-restarts", "2"], ["--seed", "3"]])
     def test_bound_only_options_exit_2(self, option, capsys):

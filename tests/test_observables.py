@@ -7,7 +7,8 @@ import pytest
 from bell3q import (GeneralObservable, MeasurementSetting, Strengths, ThreeQubitState,
                     build_v_matrix, build_w_matrix, decompose, decomposition_from_t,
                     ghz_state, mermin_expectation, svetlichny_expectation,
-                    triple_expectation, variant_expectations)
+                    random_state, triple_expectation, variant_expectations)
+from bell3q.observables import OPERATORS
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -228,3 +229,22 @@ class TestCoefficientMatrixLayout:
                                        (svetlichny_expectation, build_w_matrix)):
                 expected = np.sum(build(st, angles) * rotated)
                 assert abs(expectation(d, setting) - expected) < 1e-12
+
+
+class TestGridAngles:
+    """``optimal_unbiased_angles*`` return the argmax of the unbiased bound
+    over the 64^3 grid k pi / 63, and the bound's value there."""
+
+    @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
+    def test_value_is_the_grid_maximum(self, operator):
+        op = OPERATORS[operator]
+        optimal, unbiased = op.closed_form("optimal_angles"), op.closed_form("unbiased_general")
+        rng = np.random.default_rng(404)
+        for seed in (3, 17, 29):
+            t = decompose(random_state(seed)).t_matrix
+            st = Strengths.from_iterable(rng.uniform(0.3, 1.0, 6))
+            angles, value = optimal(t, st)
+            assert value == pytest.approx(unbiased(t, st, angles).bound_value, rel=1e-12)
+            for k in rng.integers(0, 64, (500, 3)):
+                point = unbiased(t, st, tuple(k * np.pi / 63)).bound_value
+                assert point <= value * (1 + 1e-12), (seed, k)
