@@ -28,6 +28,7 @@ import sys
 
 import numpy as np
 
+from .mermin import _degenerate, _t_svals
 from .observables import OPERATORS
 from .oracle import SeeSawConfig, bias_optimize, see_saw_maximize
 from .pauli import decompose, decomposition_from_t, reconstruct
@@ -39,8 +40,6 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INCOMPATIBLE = 3
-
-DEGENERACY_RTOL = 1e-9
 
 
 class ConfigError(Exception):
@@ -56,9 +55,12 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what}: values must be finite, got {text!r}")
+    return values
 
 
 def _state_context(spec: StateSpec):
@@ -73,68 +75,67 @@ def _state_context(spec: StateSpec):
         state = build(spec)
         decomp = decompose(state)
         info = {"physical": True, "min_eigenvalue": state.min_eigenvalue}
-    return decomp, info, is_tstate(decomp), _svals(decomp)
+    return decomp, info, is_tstate(decomp), _t_svals(decomp.t_matrix)
 
 
-def _svals(decomp):
-    from .smallmat import singular_values_3x9
-    vals = singular_values_3x9(decomp.t_matrix).values
-    return float(vals[0]), float(vals[1])
-
-
-# criterion labels are shared by both operators
-CRITERION_NAMES = ("unbiased_general", "equal_strengths", "orthogonal_sufficient",
-                   "six_variant", "tstate_general", "x_asymmetric", "degenerate_smax")
-
-
-def _applicable(name: str, strengths: Strengths, tstate: bool, s1: float, s2: float,
-                has_bias: bool) -> bool:
-    equal = strengths.equal_per_side
-    yz_equal = (abs(strengths.ry - strengths.ryp) <= 1e-12
-                and abs(strengths.rz - strengths.rzp) <= 1e-12)
-    degenerate = abs(s1 - s2) <= DEGENERACY_RTOL * max(1.0, s1)
-    if name in ("unbiased_general", "orthogonal_sufficient", "six_variant"):
-        return not has_bias
-    if name == "equal_strengths":
-        return equal and not has_bias
-    if name == "tstate_general":
-        return tstate
-    if name == "x_asymmetric":
-        return yz_equal and strengths.rx >= strengths.rxp and not (has_bias and not tstate)
-    return degenerate and not (has_bias and not tstate)  # degenerate_smax
+# Both operators share the criterion labels.  Each row holds the conditions
+# (see _select_criteria) a request must meet and the oracle: "free" is the
+# see-saw over all settings, "angles" the see-saw held at the row's angles,
+# "bias" the bias enumeration held there; a certificate (None) gets no oracle
+# and is never the tightest applicable bound.
+CRITERIA = {
+    "unbiased_general": ({"unbiased"}, "angles"),
+    "equal_strengths": ({"unbiased", "equal_strengths"}, "free"),
+    "orthogonal_sufficient": ({"unbiased"}, None),
+    "six_variant": ({"unbiased"}, None),
+    "tstate_general": ({"tstate"}, "bias"),
+    "x_asymmetric": ({"x_asymmetric"}, "free"),
+    "degenerate_smax": ({"degenerate"}, "free"),
+}
+CRITERION_NAMES = tuple(CRITERIA)
 
 
 def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2: float,
                      has_bias: bool) -> list[str]:
-    """The criteria named by ``--criteria``; each must exist and apply."""
+    """The criteria named by ``--criteria``; each must exist and apply.  Biased
+    observables are handled only on T-states: elsewhere they meet no condition."""
+    st = strengths
+    conditions = {
+        "unbiased": not has_bias, "equal_strengths": st.equal_per_side, "tstate": tstate,
+        "x_asymmetric": (abs(st.ry - st.ryp) <= 1e-12 and abs(st.rz - st.rzp) <= 1e-12
+                         and st.rx >= st.rxp),
+        "degenerate": _degenerate(s1, s2)}
+    met = {c for c, holds in conditions.items() if holds and (tstate or not has_bias)}
     if arg == "all-applicable":
-        names = [n for n in CRITERION_NAMES
-                 if _applicable(n, strengths, tstate, s1, s2, has_bias)]
+        names = [n for n, (needs, _) in CRITERIA.items() if needs <= met]
         if not names:
             raise IncompatibleError("no criterion applies: biased observables require a T-state")
         return names
     names = [n.strip() for n in arg.split(",") if n.strip()]
     for n in names:
-        if n not in CRITERION_NAMES:
+        if n not in CRITERIA:
             raise ConfigError(f"unknown criterion {n!r}")
-        if not _applicable(n, strengths, tstate, s1, s2, has_bias):
+        if not CRITERIA[n][0] <= met:
             raise IncompatibleError(
                 f"criterion {n!r} does not apply to this state/configuration")
     return names
 
 
-def _resolve_angles(angles_arg, decomp, strengths, operator: str, s1: float, s2: float):
-    """Explicit triple, or the best angles for this strength pattern.
+def _parse_angles(text):
+    """``--angles`` as a triple, or None for the optimal angles."""
+    return None if text in (None, "", "optimal") else _parse_floats(text, 3, "--angles")
+
+
+def _resolve_angles(angles, decomp, strengths, operator: str, s1: float, s2: float):
+    """The explicit triple, or the best angles for this strength pattern.
 
     With equal per-side strengths the closed-form optimal-angle family is
     used; otherwise the closed-form bound is maximized on a 64^3 angle grid.
     """
-    if angles_arg and angles_arg != "optimal":
-        tx, ty, tz = _parse_floats(angles_arg, 3, "--angles")
-        for a in (tx, ty, tz):
-            if not (0.0 <= a <= np.pi + 1e-12):
-                raise ConfigError("angles must lie in [0, pi]")
-        return tx, ty, tz
+    if angles is not None:
+        if not all(0.0 <= a <= np.pi + 1e-12 for a in angles):
+            raise ConfigError("angles must lie in [0, pi]")
+        return angles
     op = OPERATORS[operator]
     if strengths.equal_per_side:
         return op.closed_form("equal_strength_angles")(s1, s2)
@@ -167,21 +168,32 @@ def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
     return closed_form(st, s1, tstate=tstate)  # the last criterion, degenerate_smax
 
 
-_NO_ORACLE = {"orthogonal_sufficient", "six_variant"}
-_ANGLE_SPECIFIC = {"unbiased_general", "tstate_general"}
+def _evaluate(args, context, strengths: Strengths, angles, has_bias: bool = False,
+              oracle=None) -> dict:
+    """One state's {operator: [(criterion, report)]}: the angles are resolved
+    once per operator, and with ``oracle`` = (biases, restarts, seed) each
+    report carries its oracle value."""
+    decomp, _, tstate, (s1, s2) = context
+    names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias)
+    evaluated = {}
+    for operator in _operators(args.operator):
+        resolved = _resolve_angles(angles, decomp, strengths, operator, s1, s2)
+        evaluated[operator] = []
+        for name in names:
+            report = _compute_report(name, operator, decomp, strengths, resolved, tstate, s1, s2)
+            if oracle and CRITERIA[name][1]:
+                report = _attach_oracle(name, operator, report, decomp, strengths, *oracle)
+            evaluated[operator].append((name, report))
+    return evaluated
 
 
 def _attach_oracle(name: str, operator: str, report: BoundReport, decomp,
-                   strengths: Strengths, biases, restarts: int, seed: int,
-                   tstate: bool) -> BoundReport:
-    if name in _NO_ORACLE:
-        return report
-    constraints = report.achieving_angles if name in _ANGLE_SPECIFIC else None
+                   strengths: Strengths, biases, restarts: int, seed: int) -> BoundReport:
+    mode = CRITERIA[name][1]
+    constraints = None if mode == "free" else report.achieving_angles
     config = SeeSawConfig(restarts=restarts, seed=seed, angle_constraints=constraints)
-    if name == "tstate_general" and tstate:
-        result = bias_optimize(decomp, strengths, operator, config)
-    else:
-        result = see_saw_maximize(decomp, strengths, biases, operator, config)
+    result = (bias_optimize(decomp, strengths, operator, config) if mode == "bias"
+              else see_saw_maximize(decomp, strengths, biases, operator, config))
     return report.with_oracle(result.value)
 
 
@@ -231,26 +243,19 @@ def _operators(arg: str) -> list[str]:
 
 
 def cmd_bound(args) -> int:
-    spec = parse_state_spec(args.state)
-    decomp, state_info, tstate, (s1, s2) = _state_context(spec)
+    context = _state_context(parse_state_spec(args.state))
+    decomp, state_info, _, (s1, s2) = context
     strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
     biases = np.array(_parse_floats(args.biases, 6, "--biases")) if args.biases else np.zeros(6)
     if np.any(np.abs(biases) > 1.0 - strengths.as_array() + 1e-12):
         raise ConfigError("each |bias| must satisfy |bias| <= 1 - strength")
     has_bias = bool(np.any(np.abs(biases) > 0))
-    names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias)
 
     reports = []
-    for operator in _operators(args.operator):
-        angles = _resolve_angles(args.angles, decomp, strengths, operator, s1, s2)
-        op_reports = []
-        for name in names:
-            report = _compute_report(name, operator, decomp, strengths, angles, tstate, s1, s2)
-            if args.oracle_restarts:
-                report = _attach_oracle(name, operator, report, decomp, strengths,
-                                        biases, args.oracle_restarts, args.seed, tstate)
-            op_reports.append((name, report))
-        bound_like = [r for n, r in op_reports if n not in _NO_ORACLE]
+    oracle = (biases, args.oracle_restarts, args.seed) if args.oracle_restarts else None
+    for operator, op_reports in _evaluate(args, context, strengths, _parse_angles(args.angles),
+                                          has_bias, oracle).items():
+        bound_like = [r for n, r in op_reports if CRITERIA[n][1]]
         if bound_like:
             tightest = min(bound_like, key=lambda r: r.bound_value)
             op_reports.append(("tightest_applicable", BoundReport(
@@ -286,43 +291,36 @@ def cmd_scan(args) -> int:
     grid = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
 
     spec = parse_state_spec(args.state)
-    operators = _operators(args.operator)
     axis = args.scan_axis
+    angles = _parse_angles(args.angles)
     if axis != "visibility":
         context = _state_context(spec)
     if axis != "strength_all":
         strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
     if axis == "angle_x":
-        base = _parse_floats(args.angles, 3, "--angles") if args.angles and args.angles != "optimal" \
-            else (np.pi / 2, np.pi / 2, np.pi / 2)
+        base = angles or (np.pi / 2, np.pi / 2, np.pi / 2)
     rows = []
     meta: dict = {}
 
     for index, value in enumerate(grid):
-        angles_arg = args.angles
         if axis == "strength_all":
             strengths = Strengths.uniform(float(value))
         elif axis == "visibility":
             context = _state_context(StateSpec(kind="mix", base=spec, visibility=float(value)))
         else:  # angle_x
-            angles_arg = f"{value},{base[1]},{base[2]}"
-        decomp, _, tstate, (s1, s2) = context
-
-        names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias=False)
+            angles = (float(value), base[1], base[2])
         row = {"index": index, "axis_value": float(value)}
-        for operator in operators:
-            angles = _resolve_angles(angles_arg, decomp, strengths, operator, s1, s2)
-            for name in names:
-                report = _compute_report(name, operator, decomp, strengths, angles, tstate,
-                                         s1, s2)
-                row[f"{operator}_{name}"] = report.bound_value
-                row[f"{operator}_{name}_violated"] = bool(
-                    report.bound_value > OPERATORS[operator].classical_limit)
+        for operator, op_reports in _evaluate(args, context, strengths, angles).items():
+            for name, report in op_reports:
+                cells = _report_dict(operator, report)
+                row[f"{operator}_{name}"] = cells["bound"]
+                row[f"{operator}_{name}_violated"] = cells["violated"]
         rows.append(row)
 
+    _, _, tstate, (s1, s2) = context
     if axis == "strength_all" and tstate:
         p = float(np.hypot(s1, s2))
-        for operator in operators:
+        for operator in _operators(args.operator):
             if p > OPERATORS[operator].window_threshold:
                 ru, rb = OPERATORS[operator].biased_window(p)
                 meta[f"{operator}_window"] = {"r_unbiased": ru, "r_biased": rb}
@@ -336,6 +334,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be an integer >= 1, got {args.budget}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     all_passed = True
     for name in names:

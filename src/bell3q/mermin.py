@@ -51,6 +51,11 @@ def _t_svals(t) -> tuple[float, float]:
     return float(trip.values[0]), float(trip.values[1])
 
 
+def _degenerate(s1: float, s2: float) -> bool:
+    """Whether the two largest singular values of T coincide (to 1e-9 relative)."""
+    return abs(s1 - s2) <= 1e-9 * max(1.0, s1)
+
+
 def build_v_matrix(strengths: Strengths, angles) -> np.ndarray:
     """The 3x9 coefficient matrix of the Mermin form in the half-angle frame.
 

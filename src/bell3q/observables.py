@@ -223,7 +223,8 @@ class Operator:
             raise ValueError(f"window requires sqrt(s1^2+s2^2) > "
                              f"{self.window_threshold:.6g}, got {p!r}")
         q = p / self.window_threshold
-        r_biased = (-3.0 + np.sqrt(3.0) * np.sqrt(4.0 * q - 1.0)) / (2.0 * (q - 1.0))
+        # (-3 + sqrt(3) sqrt(4q - 1)) / (2 (q - 1)) with the cancellation removed
+        r_biased = 2.0 / (1.0 + np.sqrt((4.0 * q - 1.0) / 3.0))
         return float(q ** (-1.0 / 3.0)), float(r_biased)
 
 

@@ -84,7 +84,7 @@ def t_state(t) -> ThreeQubitState:
         raise PhysicalityError(
             f"tensor does not define a physical state: "
             f"min eigenvalue = {state.min_eigenvalue:.6e}")
-    return ThreeQubitState(state.matrix)
+    return state
 
 
 def white_noise_mix(base: ThreeQubitState, visibility: float) -> ThreeQubitState:
@@ -119,14 +119,11 @@ def build(spec: StateSpec) -> ThreeQubitState:
     raise ValueError(f"unknown state kind {spec.kind!r}")
 
 
-def is_tstate(decomp: CorrelationDecomposition, tol: float = TSTATE_TOL) -> bool:
+def is_tstate(decomp: CorrelationDecomposition) -> bool:
     """True iff all single-party and two-party coefficient blocks vanish."""
-    return (np.linalg.norm(decomp.bloch_a) <= tol
-            and np.linalg.norm(decomp.bloch_b) <= tol
-            and np.linalg.norm(decomp.bloch_c) <= tol
-            and np.linalg.norm(decomp.theta_mat) <= tol
-            and np.linalg.norm(decomp.phi_mat) <= tol
-            and np.linalg.norm(decomp.omega_mat) <= tol)
+    blocks = (decomp.bloch_a, decomp.bloch_b, decomp.bloch_c,
+              decomp.theta_mat, decomp.phi_mat, decomp.omega_mat)
+    return all(np.linalg.norm(b) <= TSTATE_TOL for b in blocks)
 
 
 def parse_state_spec(text: str) -> StateSpec:
@@ -154,6 +151,8 @@ def parse_state_spec(text: str) -> StateSpec:
         return StateSpec(kind="mix", base=parse_state_spec(inner), visibility=float(vis))
     if text.startswith("tstate:"):
         values = [float(x) for x in text[len("tstate:"):].split(",")]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("tstate spec entries must be finite")
         if len(values) == 27:
             tensor = np.array(values).reshape(3, 3, 3)
         elif len(values) == 9:

@@ -17,7 +17,7 @@ import numpy as np
 from .observables import OPERATORS
 from .pauli import CorrelationDecomposition
 from .reports import BoundReport, Strengths
-from .mermin import _root_pair, _swing, _t_svals
+from .mermin import _degenerate, _root_pair, _swing, _t_svals
 
 __all__ = [
     "build_w_matrix",
@@ -182,7 +182,7 @@ def svetlichny_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float
         ty = float(np.arcsin(np.clip(np.sqrt(ratio), 0.0, 1.0)))
         angles = (half_pi, ty, ty)
     else:
-        if abs(s1 - s2) > 1e-9 * max(1.0, s1):
+        if not _degenerate(s1, s2):
             raise ValueError(
                 "parallel branch requires the largest singular value to be doubly degenerate")
         value = 2.0 * np.sqrt(2.0) * ry * rz * s1 * np.sqrt(rx**2 + rxp**2)
@@ -207,7 +207,7 @@ def svetlichny_bound_x_asymmetric_best(t, rx, rxp, ry, rz, tstate: bool = False)
     """
     s1, s2 = _t_svals(t)
     branches = ["mixed", "orthogonal"]
-    if abs(s1 - s2) <= 1e-9 * max(1.0, s1):
+    if _degenerate(s1, s2):
         branches.append("parallel")
     reports = [svetlichny_bound_x_asymmetric(t, rx, rxp, ry, rz, b, tstate) for b in branches]
     top = max(r.bound_value for r in reports)

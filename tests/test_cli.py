@@ -8,11 +8,15 @@ import re
 import numpy as np
 import pytest
 
-from bell3q import (Strengths, build, decompose, ghz_state, mermin_bound_tstate,
-                    mermin_bound_unbiased, mermin_six_variant_criterion, parse_state_spec,
+from bell3q import (Strengths, build, decompose, ghz_state, mermin_bound_degenerate_smax,
+                    mermin_bound_equal_strengths, mermin_bound_tstate, mermin_bound_unbiased,
+                    mermin_bound_x_asymmetric, mermin_six_variant_criterion,
+                    mermin_sufficient_orthogonal, parse_state_spec,
+                    svetlichny_bound_degenerate_smax, svetlichny_bound_equal_strengths,
                     svetlichny_bound_tstate, svetlichny_bound_unbiased,
-                    svetlichny_six_variant_criterion)
+                    svetlichny_six_variant_criterion, svetlichny_sufficient_orthogonal)
 from bell3q.cli import CRITERION_NAMES, main
+from bell3q.svetlichny import svetlichny_bound_x_asymmetric_best
 
 GHZ_TENSOR_27 = ",".join(str(x) for x in
                          [1, 0, 0, 0, -1, 0, 0, 0, 0,
@@ -159,6 +163,7 @@ class TestBound:
     @pytest.mark.parametrize("state,strengths", [
         ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4"),
         ("tstate:0.3,0,0,0,0.2,0,0,0,0", "0.9,0.6,0.8,0.7,0.6,0.5"),
+        ("ghz", "0.9,0.6,0.8,0.8,0.7,0.7"),
     ])
     def test_rows_equal_the_library_functions(self, state, strengths, capsys):
         """The CLI evaluates these rows from the state's (s1, s2); the public
@@ -166,25 +171,84 @@ class TestBound:
         code, out, _ = run(["bound", "--state", state, "--strengths", strengths,
                             "--operator", "both"], capsys)
         assert code == 0
+        payload = json.loads(out)
         spec = parse_state_spec(state)
-        t = (np.asarray(spec.t_tensor).reshape(3, 3, 3) if spec.kind == "tstate"
+        tstate = spec.kind == "tstate"
+        t = (np.asarray(spec.t_tensor).reshape(3, 3, 3) if tstate
              else decompose(build(spec)).t_matrix)
         st = Strengths.from_iterable(float(x) for x in strengths.split(","))
+        s1 = payload["config"]["t_singular_values"][0]
+        x_args = (t, st.rx, st.rxp, st.ry, st.rz)
         library = {
-            "mermin_unbiased_general": lambda a: mermin_bound_unbiased(t, st, a).bound_value,
-            "mermin_six_variant": lambda a: mermin_six_variant_criterion(t, st, a)[0],
-            "mermin_tstate_general": lambda a: mermin_bound_tstate(t, st, a).bound_value,
-            "svetlichny_unbiased_general":
-                lambda a: svetlichny_bound_unbiased(t, st, a).bound_value,
-            "svetlichny_six_variant": lambda a: svetlichny_six_variant_criterion(t, st, a)[0],
-            "svetlichny_tstate_general":
-                lambda a: svetlichny_bound_tstate(t, st, a).bound_value,
+            "mermin": {
+                "unbiased_general": lambda a: mermin_bound_unbiased(t, st, a).bound_value,
+                "equal_strengths":
+                    lambda a: mermin_bound_equal_strengths(t, st.rx, st.ry, st.rz).bound_value,
+                "orthogonal_sufficient": lambda a: mermin_sufficient_orthogonal(t, st)[0],
+                "six_variant": lambda a: mermin_six_variant_criterion(t, st, a)[0],
+                "tstate_general": lambda a: mermin_bound_tstate(t, st, a).bound_value,
+                "x_asymmetric":
+                    lambda a: mermin_bound_x_asymmetric(*x_args, tstate=tstate).bound_value,
+                "degenerate_smax":
+                    lambda a: mermin_bound_degenerate_smax(st, s1, tstate=tstate).bound_value,
+            },
+            "svetlichny": {
+                "unbiased_general": lambda a: svetlichny_bound_unbiased(t, st, a).bound_value,
+                "equal_strengths":
+                    lambda a: svetlichny_bound_equal_strengths(t, st.rx, st.ry,
+                                                               st.rz).bound_value,
+                "orthogonal_sufficient": lambda a: svetlichny_sufficient_orthogonal(t, st)[0],
+                "six_variant": lambda a: svetlichny_six_variant_criterion(t, st, a)[0],
+                "tstate_general": lambda a: svetlichny_bound_tstate(t, st, a).bound_value,
+                "x_asymmetric":
+                    lambda a: svetlichny_bound_x_asymmetric_best(*x_args,
+                                                                 tstate=tstate).bound_value,
+                "degenerate_smax":
+                    lambda a: svetlichny_bound_degenerate_smax(st, s1,
+                                                               tstate=tstate).bound_value,
+            },
         }
-        rows = [r for r in json.loads(out)["reports"] if r["criterion"] in library]
-        expected = 6 if spec.kind == "tstate" else 4
-        assert len(rows) == expected
+        applicable = {"random": 3, "ghz": 5, "tstate": 4}[spec.kind]
+        rows = [r for r in payload["reports"]
+                if not r["criterion"].endswith("_tightest_applicable")]
+        assert len(rows) == 2 * applicable
         for row in rows:
-            assert row["bound"] == library[row["criterion"]](tuple(row["angles"])), row
+            label = row["criterion"][len(row["operator"]) + 1:]
+            name = next(n for n in CRITERION_NAMES if label.startswith(n))
+            assert row["bound"] == library[row["operator"]][name](tuple(row["angles"])), row
+
+    def test_oracle_rows_on_a_tstate(self, capsys):
+        # tstate_general takes bias enumeration; the certificates get no oracle
+        code, out, _ = run(["bound", "--state", "tstate:0.3,0,0,0,0.2,0,0,0,0",
+                            "--strengths", "0.8,0.8,0.7,0.7,0.6,0.6", "--operator", "mermin",
+                            "--oracle-restarts", "2", "--seed", "5"], capsys)
+        assert code == 0
+        rows = {r["criterion"]: r for r in json.loads(out)["reports"]}
+        assert "mermin_tstate_general" in rows
+        for name, row in rows.items():
+            if name in ("mermin_orthogonal_sufficient", "mermin_six_variant",
+                        "mermin_tightest_applicable"):
+                assert row["oracle"] is None, name
+            else:
+                assert row["gap"] >= -1e-9 * max(1.0, row["bound"]), name
+
+    def test_bias_out_of_range_exit_2(self, capsys):
+        code, _, err = run(["bound", "--state", "ghz", "--strengths",
+                            "0.5,0.5,0.5,0.5,0.5,0.5", "--biases", "0.6,0,0,0,0,0"], capsys)
+        assert code == 2 and "|bias|" in err
+
+    @pytest.mark.parametrize("args,where", [
+        (["--strengths", "0.5,0.5,0.5,0.5,0.5,0.5", "--biases", "nan,0,0,0,0,0"], "--biases"),
+        (["--strengths", "inf,1,1,1,1,1"], "--strengths"),
+        (["--angles", "nan,1,1"], "--angles"),
+    ])
+    def test_non_finite_option_exit_2(self, args, where, capsys):
+        code, out, err = run(["bound", "--state", "ghz", *args], capsys)
+        assert code == 2 and where in err and out == ""
+
+    def test_non_finite_tstate_exit_2(self, capsys):
+        code, _, err = run(["bound", "--state", "tstate:nan,0,0,0,0,0,0,0,0"], capsys)
+        assert code == 2 and "tstate" in err
 
 
 class TestScan:
@@ -294,6 +358,11 @@ class TestVerify:
         code, prefix, _ = run(["verify", "--suite", "closed_form", "--seed", "3",
                                "--budget", str(int(match.group(2)) + 1)], capsys)
         assert f"max deviation {match.group(1)} " in prefix
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_exit_2(self, budget, capsys):
+        code, out, err = run(["verify", "--suite", "all", "--budget", budget], capsys)
+        assert code == 2 and "--budget" in err and "PASS" not in out
 
     def test_tightness_suite_passes(self, capsys):
         code, out, _ = run(["verify", "--suite", "tightness", "--budget", "6"],

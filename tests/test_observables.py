@@ -248,3 +248,20 @@ class TestGridAngles:
             for k in rng.integers(0, 64, (500, 3)):
                 point = unbiased(t, st, tuple(k * np.pi / 63)).bound_value
                 assert point <= value * (1 + 1e-12), (seed, k)
+
+
+class TestBiasedWindow:
+    @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("u", [-8.0, -6.5, -5.0, -3.0, -1.0, None])
+    def test_r_biased_is_the_positive_root(self, operator, u):
+        """r_biased solves (q - 1) R^2 + 3 R - 3 = 0 for the same double q;
+        just above the threshold the root must not lose digits to cancellation."""
+        from decimal import Decimal, getcontext
+        op = OPERATORS[operator]
+        p = 2.0 if u is None else op.window_threshold * (1.0 + 10.0 ** u)
+        q = p / op.window_threshold
+        getcontext().prec = 50
+        qm1 = Decimal(q) - 1
+        exact = (Decimal(-3) + (Decimal(9) + 12 * qm1).sqrt()) / (2 * qm1)
+        _, r_biased = op.biased_window(p)
+        assert abs(r_biased - float(exact)) <= 1e-15 * float(exact)
