@@ -121,20 +121,28 @@ def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2
     return names
 
 
+def _check_angles(values, what: str):
+    if not all(0.0 <= a <= np.pi + 1e-12 for a in values):
+        raise ConfigError(f"{what}: angles must lie in [0, pi]")
+    return values
+
+
 def _parse_angles(text):
-    """``--angles`` as a triple, or None for the optimal angles."""
-    return None if text in (None, "", "optimal") else _parse_floats(text, 3, "--angles")
+    """``--angles`` as a triple checked to lie in [0, pi], or None for the
+    optimal angles."""
+    if text in (None, "", "optimal"):
+        return None
+    return _check_angles(_parse_floats(text, 3, "--angles"), "--angles")
 
 
 def _resolve_angles(angles, decomp, strengths, operator: str, s1: float, s2: float):
     """The explicit triple, or the best angles for this strength pattern.
 
     With equal per-side strengths the closed-form optimal-angle family is
-    used; otherwise the closed-form bound is maximized on a 64^3 angle grid.
+    used; otherwise the closed-form bound is maximized over the angle cube by
+    the seeded pattern search of ``Operator.grid_angles``.
     """
     if angles is not None:
-        if not all(0.0 <= a <= np.pi + 1e-12 for a in angles):
-            raise ConfigError("angles must lie in [0, pi]")
         return angles
     op = OPERATORS[operator]
     if strengths.equal_per_side:
@@ -298,6 +306,7 @@ def cmd_scan(args) -> int:
     if axis != "strength_all":
         strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
     if axis == "angle_x":
+        _check_angles((lo, hi), "--range")
         base = angles or (np.pi / 2, np.pi / 2, np.pi / 2)
     rows = []
     meta: dict = {}

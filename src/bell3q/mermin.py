@@ -278,9 +278,11 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
 
 def optimal_unbiased_angles(t, strengths: Strengths,
                             resolution: int = 64) -> tuple[tuple[float, float, float], float]:
-    """Grid-maximize the closed-form unbiased bound over the angle cube.
+    """Maximize the closed-form unbiased bound over the angle cube.
 
-    Returns (angles, bound value).  Used when no closed-form optimal-angle
-    result applies to the given strength pattern.
+    Returns (angles, bound value) from the seeded pattern search of
+    ``Operator.grid_angles``, which refines the best points of a coarse
+    angle lattice.  Used when no closed-form optimal-angle result applies to
+    the given strength pattern.
     """
     return OPERATORS["mermin"].grid_angles(*_t_svals(t), strengths, resolution)

@@ -40,6 +40,15 @@ __all__ = [
 
 CONSTRAINT_TOL = 1e-12
 
+# Operator.grid_angles: seed lattice stride, seeds refined together, stencil
+# half-width in steps, step shrink factor, smallest step and round cap.
+SEED_STRIDE = 3
+SEED_COUNT = 4
+STENCIL_HALF = 3
+STEP_SHRINK = 4.0
+STEP_MIN = 1e-7
+SEARCH_ROUNDS = 60
+
 
 @dataclass(frozen=True)
 class GeneralObservable:
@@ -205,13 +214,51 @@ class Operator:
                            achieving_angles=base.achieving_angles)
 
     def grid_angles(self, s1, s2, strengths, resolution: int = 64):
-        """(angles, value): the argmax of the unbiased bound on a resolution^3
-        grid over the angle cube [0, pi]^3."""
-        grid = np.linspace(0.0, np.pi, resolution)
-        cube = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-        values = self.pair_bound(s1, s2, strengths, cube)
-        ix, iy, iz = np.unravel_index(int(np.argmax(values)), values.shape)
-        return (float(grid[ix]), float(grid[iy]), float(grid[iz])), float(values[ix, iy, iz])
+        """(angles, value): the largest unbiased bound the search finds over
+        the angle cube [0, pi]^3, with value = ``pair_bound`` at the angles.
+
+        Seeded pattern search: every ``SEED_STRIDE``-th point of the
+        resolution^3 lattice k pi / (resolution - 1) is evaluated, and the
+        ``SEED_COUNT`` best points are refined together, each on a 7^3
+        stencil that starts at one lattice step.  A seed keeps its step while
+        its best stencil point improves on the centre and lies on the
+        stencil's edge; otherwise the step shrinks by ``STEP_SHRINK``, down to
+        ``STEP_MIN`` or for ``SEARCH_ROUNDS`` rounds.  Exact ties go to the
+        seed with the smallest lattice index, so a maximum tied across lattice
+        points keeps the angles of the lattice argmax.
+        """
+        coarse = np.linspace(0.0, np.pi, resolution)[::SEED_STRIDE]
+        values = self.pair_bound(s1, s2, strengths,
+                                 np.meshgrid(coarse, coarse, coarse, indexing="ij", sparse=True))
+        flat = values.ravel()
+        # the best points, ties toward the smallest index; kept in index order so
+        # that argmax over the refined values breaks exact ties the same way
+        count = min(SEED_COUNT, flat.size)
+        candidates = np.flatnonzero(flat >= np.partition(flat, -count)[-count])
+        seeds = np.sort(candidates[np.argsort(-flat[candidates], kind="stable")[:count]])
+        best = coarse[np.stack(np.unravel_index(seeds, values.shape), axis=1)]  # (K, 3)
+        best_values = flat[seeds]
+        steps = np.full(count, np.pi / (resolution - 1))
+        width = 2 * STENCIL_HALF + 1
+        offsets = np.arange(width) - STENCIL_HALF
+        rows = np.arange(count)
+        for _ in range(SEARCH_ROUNDS):
+            if steps.max() < STEP_MIN:
+                break
+            axes = np.clip(best[:, :, None] + steps[:, None, None] * offsets, 0.0, np.pi)
+            trial = self.pair_bound(s1, s2, strengths, (
+                axes[:, 0, :, None, None], axes[:, 1, None, :, None], axes[:, 2, None, None, :]
+            )).reshape(count, -1)
+            at = trial.argmax(axis=1)
+            index = np.stack(np.unravel_index(at, (width,) * 3), axis=1)  # (K, 3)
+            top = trial[rows, at]
+            improved = top > best_values
+            best[improved] = axes[rows[:, None], np.arange(3), index][improved]
+            best_values = np.maximum(best_values, top)
+            on_edge = ((index == 0) | (index == width - 1)).any(axis=1)
+            steps[~(improved & on_edge)] /= STEP_SHRINK
+        angles = tuple(float(a) for a in best[int(np.argmax(best_values))])
+        return angles, float(self.pair_bound(s1, s2, strengths, angles))
 
     def biased_window(self, p: float) -> tuple[float, float]:
         """(r_unbiased, r_biased) for equal strengths R and p = sqrt(s1^2 + s2^2).

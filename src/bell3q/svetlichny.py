@@ -243,5 +243,6 @@ def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float,
 
 
 def optimal_unbiased_angles_svetlichny(t, strengths: Strengths, resolution: int = 64):
-    """Grid-maximize the closed-form unbiased bound over the angle cube."""
+    """Maximize the closed-form unbiased bound over the angle cube by the
+    seeded pattern search of ``Operator.grid_angles``; (angles, value)."""
     return OPERATORS["svetlichny"].grid_angles(*_t_svals(t), strengths, resolution)

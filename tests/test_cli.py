@@ -328,6 +328,16 @@ class TestScan:
         assert rows[-1]["mermin_unbiased_general"] >= rows[0]["mermin_unbiased_general"]
         assert abs(rows[-1]["mermin_unbiased_general"] - 4.0) < 1e-9
 
+    @pytest.mark.parametrize("args,where", [
+        (["--range", "0,1,2", "--angles", "9,1,1"], "--angles"),
+        (["--range", "0,4,2"], "--range"),
+    ])
+    def test_angle_axis_out_of_range_exit_2(self, args, where, capsys):
+        """The X entry of ``--angles`` is replaced by the axis but still checked."""
+        code, out, err = run(["scan", "--state", "ghz", "--scan-axis", "angle_x", *args],
+                             capsys)
+        assert code == 2 and where in err and out == ""
+
 
 class TestVerify:
     def test_closed_form_suite_passes(self, capsys):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bell3q import (GeneralObservable, MeasurementSetting, Strengths, ThreeQubitState,
-                    build_v_matrix, build_w_matrix, decompose, decomposition_from_t,
-                    ghz_state, mermin_expectation, svetlichny_expectation,
-                    random_state, triple_expectation, variant_expectations)
+                    build, build_v_matrix, build_w_matrix, decompose, decomposition_from_t,
+                    ghz_state, mermin_bound_x_asymmetric, mermin_expectation,
+                    parse_state_spec, svetlichny_expectation, random_state,
+                    triple_expectation, variant_expectations)
+from bell3q.mermin import optimal_unbiased_angles
 from bell3q.observables import OPERATORS
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -232,8 +234,8 @@ class TestCoefficientMatrixLayout:
 
 
 class TestGridAngles:
-    """``optimal_unbiased_angles*`` return the argmax of the unbiased bound
-    over the 64^3 grid k pi / 63, and the bound's value there."""
+    """``optimal_unbiased_angles*`` return angles no lattice point k pi / 63
+    beats, found by the seeded search, and the bound's value there."""
 
     @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
     def test_value_is_the_grid_maximum(self, operator):
@@ -248,6 +250,53 @@ class TestGridAngles:
             for k in rng.integers(0, 64, (500, 3)):
                 point = unbiased(t, st, tuple(k * np.pi / 63)).bound_value
                 assert point <= value * (1 + 1e-12), (seed, k)
+
+
+class TestSeededAngleSearch:
+    """The seeded pattern search behind ``grid_angles`` against two
+    references: the dense lattice maximum, and the angle-optimized closed form
+    where one exists."""
+
+    @staticmethod
+    def _inputs(count):
+        rng = np.random.default_rng(2024)
+        kinds = ("random", "gghz", "mix:w")
+        for i in range(count):
+            kind = kinds[i % 3]
+            if kind == "random":
+                spec = f"random:{int(rng.integers(0, 10**6))}"
+            elif kind == "gghz":
+                spec = f"gghz:{rng.uniform(0.05, np.pi / 2)!r}"
+            else:
+                spec = f"mix:w:{rng.uniform(0.3, 1.0)!r}"
+            t = decompose(build(parse_state_spec(spec))).t_matrix
+            s = np.linalg.svd(t, compute_uv=False)
+            yield spec, float(s[0]), float(s[1]), Strengths.from_iterable(rng.uniform(0.3, 1.0, 6))
+
+    @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
+    def test_at_least_the_dense_lattice_maximum(self, operator):
+        op = OPERATORS[operator]
+        lattice = np.linspace(0.0, np.pi, 64)
+        cube = np.meshgrid(lattice, lattice, lattice, indexing="ij", sparse=True)
+        for spec, s1, s2, st in self._inputs(21):
+            angles, value = op.grid_angles(s1, s2, st)
+            assert all(0.0 <= a <= np.pi for a in angles), (spec, angles)
+            assert value == pytest.approx(op.pair_bound(s1, s2, st, angles), rel=1e-12)
+            dense = float(np.max(op.pair_bound(s1, s2, st, cube)))
+            assert value >= dense * (1 - 1e-14), (spec, value, dense)
+
+    def test_mermin_reaches_the_x_asymmetric_closed_form(self):
+        """With R_Y = R_Y', R_Z = R_Z' and R_X >= R_X' the maximum over angles
+        is 2 R_Y R_Z sqrt(R_X^2 s1^2 + R_X'^2 s2^2)."""
+        rng = np.random.default_rng(77)
+        for seed in range(24):
+            t = decompose(random_state(1000 + seed)).t_matrix
+            rx, rxp = np.sort(rng.uniform(0.3, 1.0, 2))[::-1]
+            ry, rz = rng.uniform(0.3, 1.0, 2)
+            st = Strengths(rx, rxp, ry, ry, rz, rz)
+            _, value = optimal_unbiased_angles(t, st)
+            exact = mermin_bound_x_asymmetric(t, rx, rxp, ry, rz).bound_value
+            assert value == pytest.approx(exact, rel=1e-12), seed
 
 
 class TestBiasedWindow:
