@@ -4,8 +4,8 @@ with biased, weak (non-projective) dichotomic observables.
 The package computes the closed-form quantum bounds as functions of the
 state's tripartite correlation tensor, the six measurement strengths and
 the relative angles between each party's measurement pair, and validates
-them against independent numerical oracles (see-saw ascent, exhaustive
-bias enumeration, explicit saturating constructions).
+them against independent numerical oracles (see-saw ascent, free or held
+at the bound's relative angles, and exhaustive bias enumeration).
 """
 
 from .pauli import (CorrelationDecomposition, PhysicalityError, ThreeQubitState,
@@ -30,7 +30,6 @@ from .svetlichny import (build_w_matrix, j_plus_minus, l_max,
                          svetlichny_bound_unbiased, svetlichny_bound_x_asymmetric,
                          svetlichny_six_variant_criterion,
                          svetlichny_sufficient_orthogonal)
-from .oracle import (NonConstructibleError, SeeSawConfig, SeeSawResult, bias_optimize,
-                     construct_saturating_setting, grid_scan, see_saw_maximize)
+from .oracle import SeeSawConfig, SeeSawResult, bias_optimize, see_saw_maximize
 
 __version__ = "0.1.0"

@@ -303,8 +303,7 @@ def cmd_scan(args) -> int:
     angles = _parse_angles(args.angles)
     if axis != "visibility":
         context = _state_context(spec)
-    if axis != "strength_all":
-        strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
+    strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
     if axis == "angle_x":
         _check_angles((lo, hi), "--range")
         base = angles or (np.pi / 2, np.pi / 2, np.pi / 2)

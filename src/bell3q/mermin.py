@@ -122,9 +122,10 @@ def i_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
 
 
 def mermin_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
-    """Tight bound for unbiased observables at the given strengths and angles.
+    """Upper bound for unbiased observables at the given strengths and angles.
 
-    Equals s1(T) s1(V) + s2(T) s2(V).
+    Equals s1(T) s1(V) + s2(T) s2(V); attained when a product rotation aligns
+    the top right singular subspace of T with that of V.
     """
     return OPERATORS["mermin"].unbiased(*_t_svals(t), strengths, angles)
 

@@ -227,6 +227,8 @@ class Operator:
         seed with the smallest lattice index, so a maximum tied across lattice
         points keeps the angles of the lattice argmax.
         """
+        if resolution < 2:
+            raise ValueError(f"resolution must be >= 2, got {resolution!r}")
         coarse = np.linspace(0.0, np.pi, resolution)[::SEED_STRIDE]
         values = self.pair_bound(s1, s2, strengths,
                                  np.meshgrid(coarse, coarse, coarse, indexing="ij", sparse=True))

@@ -1,30 +1,21 @@
 """Independent numerical maximization of the Bell-operator expectations.
 
-Three oracles validate the closed-form bounds:
+Two oracles validate the closed-form bounds:
 
 * ``see_saw_maximize``: alternating coordinate ascent over the six
   measurement directions.  The operator expectation is linear in each
   direction with the others held fixed, so each update replaces a direction
   by its normalized linear coefficient (or, with a fixed relative angle, by
   the best frame of the constrained pair).  Restarts run batched and are
-  seeded independently, so serial and parallel evaluation agree.
+  seeded independently, so serial and parallel evaluation agree.  Held at
+  the relative angles of a bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the
+  coefficient matrix, when a product rotation (one per remote party) aligns
+  the top right singular subspace of T with that of C, and ends below it
+  otherwise.
 
 * ``bias_optimize``: for states fully described by their tripartite tensor,
   biases enter only through a multilinear offset, so optimal biases sit at
   the extremes +-(1 - R); all 64 sign patterns run through the see-saw.
-
-* ``construct_saturating_setting``: the angle-constrained see-saw plus a
-  pairing check.  It returns the see-saw's setting when that attains
-  s1(T)s1(C) + s2(T)s2(C), C the coefficient matrix, which is possible when
-  the right singular subspaces of T and C can be aligned by a product
-  rotation (one rotation per remote party).  Whether such a product
-  alignment exists is a property of T; when the residual stays above
-  threshold the construction reports failure instead of returning a
-  sub-saturating setting.
-
-``grid_scan`` is a deliberately coarse lower witness: it confines each
-party's directions to the plane of the top two singular axes of that
-party's unfolding and scans in-plane angles on a uniform grid.
 """
 
 from __future__ import annotations
@@ -35,34 +26,18 @@ from typing import Optional
 import numpy as np
 
 from .observables import OPERATORS, MeasurementSetting
-from .pauli import CorrelationDecomposition, as_t_matrix, decomposition_from_t
+from .pauli import CorrelationDecomposition
 from .reports import Strengths
-from .smallmat import singular_triple
 from .states import is_tstate
 
 __all__ = [
     "SeeSawConfig",
     "SeeSawResult",
-    "NonConstructibleError",
     "see_saw_maximize",
     "bias_optimize",
-    "construct_saturating_setting",
-    "grid_scan",
 ]
 
 DEGENERATE_COEFF = 1e-14
-CONSTRUCT_RESIDUAL = 1e-6
-
-
-class NonConstructibleError(RuntimeError):
-    """No product-form rotation aligns the singular subspaces of T with the
-    coefficient matrix; the saturating construction does not apply."""
-
-    def __init__(self, residual: float):
-        super().__init__(
-            f"no product-form alignment found (residual {residual:.3e}); "
-            f"the bound need not be attainable for this tensor")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -261,64 +236,3 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
     objective = _Objective(decomp, r, b_batch, operator_signs, np.ones(d.shape[0]))
     values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
     return _result_from_batch(values, d, b_batch, r, sweeps, hit_max, trace)
-
-
-def construct_saturating_setting(t, strengths: Strengths, angles,
-                                 operator_kind: str) -> MeasurementSetting:
-    """Explicit unbiased setting attaining s1(T)s1(C) + s2(T)s2(C).
-
-    C is the operator's coefficient matrix at ``angles``.  The
-    angle-constrained see-saw climbs |expectation| from seeded random
-    starts; when it ends more than 1e-6 (relative) below the pairing it raises
-    :class:`NonConstructibleError`, which happens when no product rotation
-    maps the top right singular subspace of T onto that of C.
-    """
-    t = as_t_matrix(t)
-    trip_t = singular_triple(t)
-    trip_c = singular_triple(OPERATORS[operator_kind].coefficient_matrix(strengths, angles))
-    target = float(trip_t.values[0] * trip_c.values[0]
-                   + trip_t.values[1] * trip_c.values[1])
-
-    # near-degenerate spectra climb slowly; at the default 200 sweeps some
-    # attainable tensors end above the residual threshold
-    config = SeeSawConfig(max_sweeps=1000, seed=0x5EED, angle_constraints=tuple(angles))
-    result = see_saw_maximize(decomposition_from_t(t, check=False), strengths,
-                              np.zeros(6), operator_kind, config)
-    residual = target - result.value
-    if residual > CONSTRUCT_RESIDUAL * max(1.0, target):
-        raise NonConstructibleError(residual)
-    return result.setting
-
-
-def grid_scan(decomp: CorrelationDecomposition, strengths: Strengths,
-              operator_kind: str, resolution: int) -> float:
-    """Coarse lower witness for the unbiased operator maximum.
-
-    Each party's two directions are confined to the plane spanned by the
-    top two singular axes of that party's tensor unfolding; the six
-    in-plane angles run over a uniform grid.  Every grid point is a genuine
-    expectation value, so the scan never exceeds the true maximum.
-    """
-    if not (1 <= resolution <= 12):
-        raise ValueError("resolution must lie in 1..12")
-    operator_signs = OPERATORS[operator_kind].signs
-    t3 = decomp.t_tensor
-    r = strengths.as_array()
-
-    planes = []
-    for unfolding in (t3.reshape(3, 9),
-                      t3.transpose(1, 0, 2).reshape(3, 9),
-                      t3.transpose(2, 0, 1).reshape(3, 9)):
-        trip = singular_triple(unfolding)
-        planes.append(trip.left_vectors[:, :2])  # (3, 2)
-
-    reduced = np.einsum("ijk,ia,jb,kc->abc", t3, planes[0], planes[1], planes[2])
-    alphas = 2.0 * np.pi * np.arange(resolution) / resolution
-    table = np.stack([np.cos(alphas), np.sin(alphas)], axis=1)  # (res, 2)
-    # pair[a, i, j] is the in-plane direction of the unprimed (a = 0, angle i)
-    # or primed (a = 1, angle j) observable
-    pair = np.stack(np.broadcast_arrays(table[:, None], table[None, :]))
-    hx, hy, hz = (r[2 * p:2 * p + 2, None, None, None] * pair for p in range(3))
-    total = np.einsum("abc,mng,aijm,bkln,cpqg->ijklpq", operator_signs, reduced,
-                      hx, hy, hz, optimize=True)
-    return float(np.max(np.abs(total)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,9 +140,7 @@ def suite_tightness(seed: int, budget: int) -> SuiteResult:
         t = saturable_tensor(rng, op.coefficient_matrix(st, angles), s1, s2, s3)
         bound = op.closed_form("equal_strengths")(t, *r).bound_value
         decomp = decomposition_from_t(t.reshape(3, 3, 3))
-        cfg = SeeSawConfig(restarts=config.restarts, max_sweeps=config.max_sweeps,
-                           convergence_tol=config.convergence_tol,
-                           seed=seed + 1000 * i, angle_constraints=angles)
+        cfg = replace(config, seed=seed + 1000 * i, angle_constraints=angles)
         result = see_saw_maximize(decomp, st, np.zeros(6), op.name, cfg)
         deviations.append(abs(bound - result.value))
     return _result("tightness", deviations, 1e-4, t0,

@@ -71,7 +71,11 @@ def j_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
 
 
 def svetlichny_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
-    """Tight bound for unbiased observables; equals s1(T)s1(W) + s2(T)s2(W)."""
+    """Upper bound for unbiased observables; equals s1(T)s1(W) + s2(T)s2(W).
+
+    Attained when a product rotation aligns the top right singular subspace
+    of T with that of W.
+    """
     return OPERATORS["svetlichny"].unbiased(*_t_svals(t), strengths, angles)
 
 

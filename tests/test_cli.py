@@ -258,6 +258,13 @@ class TestScan:
                             "--range", bad], capsys)
         assert code == 2 and "--range" in err
 
+    @pytest.mark.parametrize("bad", ["garbage", "nan,0,0,0,0,0"])
+    def test_strength_axis_still_checks_strengths(self, bad, capsys):
+        code, _, err = run(["scan", "--state", "ghz", "--operator", "mermin",
+                            "--scan-axis", "strength_all", "--range", "0.5,1,2",
+                            "--criteria", "unbiased_general", "--strengths", bad], capsys)
+        assert code == 2 and "--strengths" in err
+
     @pytest.mark.parametrize("option", [["--biases", "0.1,0,0,0,0,0"],
                                         ["--oracle-restarts", "2"], ["--seed", "3"]])
     def test_bound_only_options_exit_2(self, option, capsys):

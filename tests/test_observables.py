@@ -251,6 +251,12 @@ class TestGridAngles:
                 point = unbiased(t, st, tuple(k * np.pi / 63)).bound_value
                 assert point <= value * (1 + 1e-12), (seed, k)
 
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_below_two_is_rejected(self, resolution):
+        t = decompose(random_state(3)).t_matrix
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            optimal_unbiased_angles(t, Strengths.uniform(0.8), resolution=resolution)
+
 
 class TestSeededAngleSearch:
     """The seeded pattern search behind ``grid_angles`` against two
