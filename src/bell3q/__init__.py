@@ -2,8 +2,8 @@
 with biased, weak (non-projective) dichotomic observables.
 
 The package computes the closed-form quantum bounds as functions of the
-state's tripartite correlation tensor, the six measurement strengths and
-the relative angles between each party's measurement pair, and validates
+two largest singular values of the state's tripartite correlation tensor,
+the six strengths and the relative angles of each party's pair, and validates
 them against independent numerical oracles (see-saw ascent, free or held
 at the bound's relative angles, and exhaustive bias enumeration).
 """
@@ -11,7 +11,7 @@ at the bound's relative angles, and exhaustive bias enumeration).
 from .pauli import (CorrelationDecomposition, PhysicalityError, ThreeQubitState,
                     as_t_matrix, as_t_tensor, decompose, decomposition_from_t,
                     reconstruct)
-from .smallmat import SingularTriple, singular_triple, singular_values_3x9
+from .smallmat import singular_values_3x9
 from .observables import (GeneralObservable, MeasurementSetting, mermin_expectation,
                           svetlichny_expectation, triple_expectation,
                           variant_expectations)

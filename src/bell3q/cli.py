@@ -51,7 +51,7 @@ class IncompatibleError(Exception):
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
-    parts = [p for p in text.split(",") if p != ""]
+    parts = text.split(",")
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     try:
@@ -112,6 +112,8 @@ def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2
             raise IncompatibleError("no criterion applies: biased observables require a T-state")
         return names
     names = [n.strip() for n in arg.split(",") if n.strip()]
+    if not names:
+        raise ConfigError(f"--criteria names no criterion: {arg!r}")
     for n in names:
         if n not in CRITERIA:
             raise ConfigError(f"unknown criterion {n!r}")
@@ -135,7 +137,7 @@ def _parse_angles(text):
     return _check_angles(_parse_floats(text, 3, "--angles"), "--angles")
 
 
-def _resolve_angles(angles, decomp, strengths, operator: str, s1: float, s2: float):
+def _resolve_angles(angles, strengths, operator: str, s1: float, s2: float):
     """The explicit triple, or the best angles for this strength pattern.
 
     With equal per-side strengths the closed-form optimal-angle family is
@@ -147,13 +149,12 @@ def _resolve_angles(angles, decomp, strengths, operator: str, s1: float, s2: flo
     op = OPERATORS[operator]
     if strengths.equal_per_side:
         return op.closed_form("equal_strength_angles")(s1, s2)
-    ang, _ = op.closed_form("optimal_angles")(decomp.t_matrix, strengths)
-    return ang
+    return op.closed_form("optimal_angles")(s1, s2, strengths)[0]
 
 
-def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
+def _compute_report(name: str, operator: str, strengths: Strengths,
                     angles, tstate: bool, s1: float, s2: float) -> BoundReport:
-    t, st, op = decomp.t_matrix, strengths, OPERATORS[operator]
+    st, op = strengths, OPERATORS[operator]
     if name == "unbiased_general":
         return op.unbiased(s1, s2, st, angles)
     if name == "tstate_general":
@@ -165,14 +166,14 @@ def _compute_report(name: str, operator: str, decomp, strengths: Strengths,
                            notes="criterion for the six exchanged operators")
     closed_form = op.closed_form(name)
     if name == "equal_strengths":
-        return closed_form(t, st.rx, st.ry, st.rz)
+        return closed_form(s1, s2, st.rx, st.ry, st.rz)
     if name == "orthogonal_sufficient":
-        value, _ = closed_form(t, st)
+        value, _ = closed_form(s1, s2, st)
         return BoundReport(value, f"{operator}_orthogonal_sufficient",
                            achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
                            notes="violation certificate, not an upper bound")
     if name == "x_asymmetric":
-        return closed_form(t, st.rx, st.rxp, st.ry, st.rz, tstate=tstate)
+        return closed_form(s1, s2, st.rx, st.rxp, st.ry, st.rz, tstate=tstate)
     return closed_form(st, s1, tstate=tstate)  # the last criterion, degenerate_smax
 
 
@@ -185,10 +186,10 @@ def _evaluate(args, context, strengths: Strengths, angles, has_bias: bool = Fals
     names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias)
     evaluated = {}
     for operator in _operators(args.operator):
-        resolved = _resolve_angles(angles, decomp, strengths, operator, s1, s2)
+        resolved = _resolve_angles(angles, strengths, operator, s1, s2)
         evaluated[operator] = []
         for name in names:
-            report = _compute_report(name, operator, decomp, strengths, resolved, tstate, s1, s2)
+            report = _compute_report(name, operator, strengths, resolved, tstate, s1, s2)
             if oracle and CRITERIA[name][1]:
                 report = _attach_oracle(name, operator, report, decomp, strengths, *oracle)
             evaluated[operator].append((name, report))
@@ -252,7 +253,7 @@ def _operators(arg: str) -> list[str]:
 
 def cmd_bound(args) -> int:
     context = _state_context(parse_state_spec(args.state))
-    decomp, state_info, _, (s1, s2) = context
+    _, state_info, _, (s1, s2) = context
     strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
     biases = np.array(_parse_floats(args.biases, 6, "--biases")) if args.biases else np.zeros(6)
     if np.any(np.abs(biases) > 1.0 - strengths.as_array() + 1e-12):

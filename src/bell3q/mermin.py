@@ -1,10 +1,11 @@
 """Closed-form upper bounds and violation criteria for the Mermin operator.
 
-Everything here is a function of the 3x9 tripartite correlation matrix T
-(through its two largest singular values s1 >= s2), the six measurement
-strengths and the three relative angles between each party's pair of
-measurement directions.  The central object is the 3x9 coefficient matrix V
-whose singular values pair with those of T:
+Everything here is a function of the two largest singular values s1 >= s2
+of the 3x9 tripartite correlation matrix T, the six strengths and the three
+relative angles.  The unbiased, equal-strength, six-variant and T-state
+bounds take T and find (s1, s2) themselves; the other forms take (s1, s2).
+The central object is the 3x9 coefficient matrix V, whose singular values
+pair with those of T:
 
     max |<Mermin operator>|  <=  s1(T) s1(V) + s2(T) s2(V)
 
@@ -30,6 +31,7 @@ __all__ = [
     "i_plus_minus",
     "mermin_bound_unbiased",
     "mermin_bound_equal_strengths",
+    "equal_strength_bound",
     "mermin_sufficient_orthogonal",
     "mermin_six_variant_criterion",
     "k_max",
@@ -47,8 +49,8 @@ CLAMP_TOL = 1e-10
 
 
 def _t_svals(t) -> tuple[float, float]:
-    trip = singular_values_3x9(as_t_matrix(t))
-    return float(trip.values[0]), float(trip.values[1])
+    values = singular_values_3x9(as_t_matrix(t))
+    return float(values[0]), float(values[1])
 
 
 def _degenerate(s1: float, s2: float) -> bool:
@@ -143,8 +145,12 @@ def equal_strength_angles(s1: float, s2: float) -> tuple[float, float, float]:
 
 
 def mermin_bound_equal_strengths(t, rx: float, ry: float, rz: float) -> BoundReport:
+    """``equal_strength_bound`` at the singular values of ``t``."""
+    return equal_strength_bound(*_t_svals(t), rx, ry, rz)
+
+
+def equal_strength_bound(s1: float, s2: float, rx: float, ry: float, rz: float) -> BoundReport:
     """2 R_X R_Y R_Z sqrt(s1^2 + s2^2), the angle-optimized equal-strength bound."""
-    s1, s2 = _t_svals(t)
     value = 2.0 * rx * ry * rz * np.sqrt(s1 * s1 + s2 * s2)
     return BoundReport(
         bound_value=float(value),
@@ -154,14 +160,13 @@ def mermin_bound_equal_strengths(t, rx: float, ry: float, rz: float) -> BoundRep
     )
 
 
-def mermin_sufficient_orthogonal(t, strengths: Strengths) -> tuple[float, bool]:
+def mermin_sufficient_orthogonal(s1: float, s2: float, strengths: Strengths) -> tuple[float, bool]:
     """Violation certificate at orthogonal relative angles.
 
     Returns (value, value > 2).  The value pairs s1 with the (X, Y/Z', Y'/Z)
     strength radical and s2 with its partner; it never exceeds the general
     bound at orthogonal angles, so exceeding 2 certifies a violation.
     """
-    s1, s2 = _t_svals(t)
     st = strengths
     a = st.rx * np.sqrt(st.ry**2 * st.rzp**2 + st.ryp**2 * st.rz**2)
     b = st.rxp * np.sqrt(st.ry**2 * st.rz**2 + st.ryp**2 * st.rzp**2)
@@ -219,8 +224,8 @@ def mermin_biased_window(p: float) -> tuple[float, float]:
     return OPERATORS["mermin"].biased_window(p)
 
 
-def mermin_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float,
-                              tstate: bool = False) -> BoundReport:
+def mermin_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: float,
+                              rz: float, tstate: bool = False) -> BoundReport:
     """Bound with unequal strengths on the X side only (R_X >= R_X').
 
     Value 2 R_Y R_Z sqrt(R_X^2 s1^2 + R_X'^2 s2^2), valid at every angle
@@ -229,7 +234,6 @@ def mermin_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float,
     """
     if rxp > rx + 1e-12:
         raise ValueError("requires rx >= rxp; swap the X-side labels")
-    s1, s2 = _t_svals(t)
     value = 2.0 * ry * rz * np.sqrt(rx**2 * s1**2 + rxp**2 * s2**2)
     denom = rx**2 * s1**2 + rxp**2 * s2**2
     ratio = 0.0 if denom <= 0 else 2.0 * rx * rxp * s1 * s2 / denom
@@ -277,7 +281,7 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
     )
 
 
-def optimal_unbiased_angles(t, strengths: Strengths,
+def optimal_unbiased_angles(s1: float, s2: float, strengths: Strengths,
                             resolution: int = 64) -> tuple[tuple[float, float, float], float]:
     """Maximize the closed-form unbiased bound over the angle cube.
 
@@ -286,4 +290,4 @@ def optimal_unbiased_angles(t, strengths: Strengths,
     angle lattice.  Used when no closed-form optimal-angle result applies to
     the given strength pattern.
     """
-    return OPERATORS["mermin"].grid_angles(*_t_svals(t), strengths, resolution)
+    return OPERATORS["mermin"].grid_angles(s1, s2, strengths, resolution)

@@ -160,7 +160,8 @@ class Operator:
 
     The methods after :meth:`coefficient_matrix` are the operator-generic
     bounds.  Each takes the two largest singular values (s1, s2) of T and
-    pairs them with the record's ``plus_minus`` closed form.
+    pairs them with the record's ``plus_minus`` closed form.  The closed forms
+    the record names take (s1, s2), s_max or strengths only, never T itself.
     """
 
     name: str
@@ -294,8 +295,7 @@ OPERATORS = _OperatorLookup(
             "plus_minus": "i_plus_minus",
             "equal_strength_angles": "equal_strength_angles",
             "optimal_angles": "optimal_unbiased_angles",
-            "unbiased_general": "mermin_bound_unbiased",
-            "equal_strengths": "mermin_bound_equal_strengths",
+            "equal_strengths": "equal_strength_bound",
             "orthogonal_sufficient": "mermin_sufficient_orthogonal",
             "bias_max": "k_max",
             "x_asymmetric": "mermin_bound_x_asymmetric",
@@ -310,8 +310,7 @@ OPERATORS = _OperatorLookup(
             "plus_minus": "j_plus_minus",
             "equal_strength_angles": "equal_strength_angles_svetlichny",
             "optimal_angles": "optimal_unbiased_angles_svetlichny",
-            "unbiased_general": "svetlichny_bound_unbiased",
-            "equal_strengths": "svetlichny_bound_equal_strengths",
+            "equal_strengths": "equal_strength_bound_svetlichny",
             "orthogonal_sufficient": "svetlichny_sufficient_orthogonal",
             "bias_max": "l_max",
             "x_asymmetric": "svetlichny_bound_x_asymmetric_best",

@@ -1,7 +1,7 @@
 """Closed-form upper bounds and violation criteria for the Svetlichny operator.
 
-Mirrors the Mermin module: a 3x9 coefficient matrix W pairs with the
-correlation matrix T through the singular-value trace inequality,
+Mirrors the Mermin module, down to which functions take T: the 3x9
+coefficient matrix W pairs with T through the singular-value inequality,
 
     max |<Svetlichny operator>|  <=  s1(T) s1(W) + s2(T) s2(W),
 
@@ -24,12 +24,14 @@ __all__ = [
     "j_plus_minus",
     "svetlichny_bound_unbiased",
     "svetlichny_bound_equal_strengths",
+    "equal_strength_bound_svetlichny",
     "svetlichny_sufficient_orthogonal",
     "svetlichny_six_variant_criterion",
     "l_max",
     "svetlichny_bound_tstate",
     "svetlichny_biased_window",
     "svetlichny_bound_x_asymmetric",
+    "svetlichny_bound_x_asymmetric_best",
     "svetlichny_bound_degenerate_smax",
     "equal_strength_angles_svetlichny",
     "optimal_unbiased_angles_svetlichny",
@@ -94,8 +96,13 @@ def equal_strength_angles_svetlichny(s1: float, s2: float) -> tuple[float, float
 
 
 def svetlichny_bound_equal_strengths(t, rx: float, ry: float, rz: float) -> BoundReport:
+    """``equal_strength_bound_svetlichny`` at the singular values of ``t``."""
+    return equal_strength_bound_svetlichny(*_t_svals(t), rx, ry, rz)
+
+
+def equal_strength_bound_svetlichny(s1: float, s2: float, rx: float, ry: float,
+                                    rz: float) -> BoundReport:
     """2 sqrt(2) R_X R_Y R_Z sqrt(s1^2 + s2^2), angle-optimized."""
-    s1, s2 = _t_svals(t)
     value = 2.0 * np.sqrt(2.0) * rx * ry * rz * np.sqrt(s1 * s1 + s2 * s2)
     return BoundReport(
         bound_value=float(value),
@@ -105,11 +112,11 @@ def svetlichny_bound_equal_strengths(t, rx: float, ry: float, rz: float) -> Boun
     )
 
 
-def svetlichny_sufficient_orthogonal(t, strengths: Strengths) -> tuple[float, bool]:
-    """Violation certificate at orthogonal relative angles: (value, value > 4).
-
-    The value is the unbiased pairing bound at (pi/2, pi/2, pi/2)."""
-    value = svetlichny_bound_unbiased(t, strengths, (np.pi / 2,) * 3).bound_value
+def svetlichny_sufficient_orthogonal(s1: float, s2: float,
+                                     strengths: Strengths) -> tuple[float, bool]:
+    """Violation certificate at orthogonal relative angles: (value, value > 4),
+    with value the unbiased pairing bound at (pi/2, pi/2, pi/2)."""
+    value = OPERATORS["svetlichny"].unbiased(s1, s2, strengths, (np.pi / 2,) * 3).bound_value
     return value, value > SVETLICHNY_CLASSICAL_BOUND
 
 
@@ -158,8 +165,8 @@ def svetlichny_biased_window(p: float) -> tuple[float, float]:
 _BRANCHES = ("orthogonal", "mixed", "parallel")
 
 
-def svetlichny_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float,
-                                  branch: str, tstate: bool = False) -> BoundReport:
+def svetlichny_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: float,
+                                  rz: float, branch: str, tstate: bool = False) -> BoundReport:
     """Bound with unequal strengths on the X side only (R_X >= R_X').
 
     Three angle regimes:
@@ -174,7 +181,6 @@ def svetlichny_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     if rxp > rx + 1e-12:
         raise ValueError("requires rx >= rxp; swap the X-side labels")
-    s1, s2 = _t_svals(t)
     half_pi = np.pi / 2
     if branch == "orthogonal":
         value = 2.0 * ry * rz * (rx * s1 + rxp * s2)
@@ -202,18 +208,18 @@ def svetlichny_bound_x_asymmetric(t, rx: float, rxp: float, ry: float, rz: float
                        achieving_angles=angles)
 
 
-def svetlichny_bound_x_asymmetric_best(t, rx, rxp, ry, rz, tstate: bool = False) -> BoundReport:
+def svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz,
+                                       tstate: bool = False) -> BoundReport:
     """Largest applicable branch value (aggregation, not a single stated result).
 
     Branches whose values agree to 1e-12 relative are ties; the criterion and
     angles then come from the first of them in the order mixed, orthogonal,
     parallel, so last-bit rounding cannot decide which branch is reported.
     """
-    s1, s2 = _t_svals(t)
     branches = ["mixed", "orthogonal"]
     if _degenerate(s1, s2):
         branches.append("parallel")
-    reports = [svetlichny_bound_x_asymmetric(t, rx, rxp, ry, rz, b, tstate) for b in branches]
+    reports = [svetlichny_bound_x_asymmetric(s1, s2, rx, rxp, ry, rz, b, tstate) for b in branches]
     top = max(r.bound_value for r in reports)
     best = next(r for r in reports if r.bound_value >= top - 1e-12 * abs(top))
     return BoundReport(bound_value=top,
@@ -246,7 +252,8 @@ def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float,
                        achieving_angles=(tx, ty, tz))
 
 
-def optimal_unbiased_angles_svetlichny(t, strengths: Strengths, resolution: int = 64):
+def optimal_unbiased_angles_svetlichny(s1: float, s2: float, strengths: Strengths,
+                                       resolution: int = 64):
     """Maximize the closed-form unbiased bound over the angle cube by the
     seeded pattern search of ``Operator.grid_angles``; (angles, value)."""
-    return OPERATORS["svetlichny"].grid_angles(*_t_svals(t), strengths, resolution)
+    return OPERATORS["svetlichny"].grid_angles(s1, s2, strengths, resolution)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bell3q import (Strengths, build, decompose, ghz_state, mermin_bound_degenerate_smax,
+from bell3q import (Strengths, build, decompose, ghz_state, mermin, mermin_bound_degenerate_smax,
                     mermin_bound_equal_strengths, mermin_bound_tstate, mermin_bound_unbiased,
                     mermin_bound_x_asymmetric, mermin_six_variant_criterion,
                     mermin_sufficient_orthogonal, parse_state_spec,
@@ -16,6 +16,7 @@ from bell3q import (Strengths, build, decompose, ghz_state, mermin_bound_degener
                     svetlichny_bound_tstate, svetlichny_bound_unbiased,
                     svetlichny_six_variant_criterion, svetlichny_sufficient_orthogonal)
 from bell3q.cli import CRITERION_NAMES, main
+from bell3q.mermin import _t_svals
 from bell3q.svetlichny import svetlichny_bound_x_asymmetric_best
 
 GHZ_TENSOR_27 = ",".join(str(x) for x in
@@ -167,7 +168,8 @@ class TestBound:
     ])
     def test_rows_equal_the_library_functions(self, state, strengths, capsys):
         """The CLI evaluates these rows from the state's (s1, s2); the public
-        functions take T and find the spectrum themselves."""
+        unbiased, equal-strength, six-variant and T-state functions take T and
+        find the spectrum themselves."""
         code, out, _ = run(["bound", "--state", state, "--strengths", strengths,
                             "--operator", "both"], capsys)
         assert code == 0
@@ -178,13 +180,14 @@ class TestBound:
              else decompose(build(spec)).t_matrix)
         st = Strengths.from_iterable(float(x) for x in strengths.split(","))
         s1 = payload["config"]["t_singular_values"][0]
-        x_args = (t, st.rx, st.rxp, st.ry, st.rz)
+        x_args = (*_t_svals(t), st.rx, st.rxp, st.ry, st.rz)
         library = {
             "mermin": {
                 "unbiased_general": lambda a: mermin_bound_unbiased(t, st, a).bound_value,
                 "equal_strengths":
                     lambda a: mermin_bound_equal_strengths(t, st.rx, st.ry, st.rz).bound_value,
-                "orthogonal_sufficient": lambda a: mermin_sufficient_orthogonal(t, st)[0],
+                "orthogonal_sufficient":
+                    lambda a: mermin_sufficient_orthogonal(*_t_svals(t), st)[0],
                 "six_variant": lambda a: mermin_six_variant_criterion(t, st, a)[0],
                 "tstate_general": lambda a: mermin_bound_tstate(t, st, a).bound_value,
                 "x_asymmetric":
@@ -197,7 +200,8 @@ class TestBound:
                 "equal_strengths":
                     lambda a: svetlichny_bound_equal_strengths(t, st.rx, st.ry,
                                                                st.rz).bound_value,
-                "orthogonal_sufficient": lambda a: svetlichny_sufficient_orthogonal(t, st)[0],
+                "orthogonal_sufficient":
+                    lambda a: svetlichny_sufficient_orthogonal(*_t_svals(t), st)[0],
                 "six_variant": lambda a: svetlichny_six_variant_criterion(t, st, a)[0],
                 "tstate_general": lambda a: svetlichny_bound_tstate(t, st, a).bound_value,
                 "x_asymmetric":
@@ -249,6 +253,41 @@ class TestBound:
     def test_non_finite_tstate_exit_2(self, capsys):
         code, _, err = run(["bound", "--state", "tstate:nan,0,0,0,0,0,0,0,0"], capsys)
         assert code == 2 and "tstate" in err
+
+    @pytest.mark.parametrize("args,where", [
+        (["--angles", "0.5,,1.0,1.2"], "--angles"),
+        (["--angles", "0.5,,1.0"], "--angles"),
+        (["--strengths", "1,,1,1,1,1,1"], "--strengths"),
+        (["--strengths", "0.5,0.5,0.5,0.5,0.5,0.5", "--biases", "0,0,0,0,0,0,"], "--biases"),
+    ])
+    def test_empty_entry_exit_2(self, args, where, capsys):
+        code, out, err = run(["bound", "--state", "ghz", *args], capsys)
+        assert code == 2 and where in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--state", "ghz", "--criteria", ","],
+        ["bound", "--state", "ghz", "--criteria", " "],
+        ["scan", "--state", "ghz", "--scan-axis", "visibility", "--range", "0,1,2",
+         "--criteria", ""],
+    ])
+    def test_empty_criteria_exit_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "--criteria" in err and out == ""
+
+    @pytest.mark.parametrize("state,strengths", [
+        ("ghz", "0.9,0.9,0.8,0.8,0.7,0.7"),       # equal per side: closed-form angles
+        ("ghz", "1,0.5,1,1,1,1"),                 # X side only unequal: x_asymmetric
+        ("mix:w:0.5", "1,0.5,1,1,1,1"),
+        ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4"),  # unequal: angle search
+    ])
+    def test_one_spectrum_per_request(self, state, strengths, monkeypatch, capsys):
+        calls = []
+        svals = mermin.singular_values_3x9
+        monkeypatch.setattr(mermin, "singular_values_3x9",
+                            lambda a: calls.append(a) or svals(a))
+        code, _, _ = run(["bound", "--state", state, "--strengths", strengths,
+                          "--operator", "both"], capsys)
+        assert code == 0 and len(calls) == 1
 
 
 class TestScan:

@@ -11,6 +11,7 @@ from bell3q import (SeeSawConfig, Strengths, bias_optimize, build_v_matrix, deco
                     mermin_bound_equal_strengths, mermin_bound_tstate,
                     mermin_bound_unbiased, mermin_bound_x_asymmetric,
                     mermin_six_variant_criterion, mermin_sufficient_orthogonal)
+from bell3q.mermin import _t_svals
 
 ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
 
@@ -171,12 +172,12 @@ class TestEqualStrengths:
 
 class TestSufficientOrthogonal:
     def test_ghz_unit(self):
-        value, violated = mermin_sufficient_orthogonal(ghz_t(), Strengths.uniform(1.0))
+        value, violated = mermin_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(1.0))
         assert abs(value - 4.0) < 1e-12
         assert violated
 
     def test_zero(self):
-        value, violated = mermin_sufficient_orthogonal(ghz_t(), Strengths.uniform(0.0))
+        value, violated = mermin_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(0.0))
         assert value == 0.0 and not violated
 
     def test_never_exceeds_general_bound_at_orthogonal_angles(self):
@@ -184,7 +185,7 @@ class TestSufficientOrthogonal:
         for _ in range(100):
             t = random_t(rng)
             st = random_strengths(rng)
-            value, _ = mermin_sufficient_orthogonal(t, st)
+            value, _ = mermin_sufficient_orthogonal(*_t_svals(t), st)
             general = bound_at(t, st, ORTH)
             assert value <= general + 1e-10
             # equality whenever the s1 pairing dominates the s2 pairing
@@ -337,7 +338,7 @@ class TestXAsymmetric:
         rng = np.random.default_rng(13)
         t = random_t(rng)
         r = 0.8
-        a = mermin_bound_x_asymmetric(t, r, r, 0.7, 0.6).bound_value
+        a = mermin_bound_x_asymmetric(*_t_svals(t), r, r, 0.7, 0.6).bound_value
         b = mermin_bound_equal_strengths(t, r, 0.7, 0.6).bound_value
         assert abs(a - b) < 1e-12
 
@@ -345,12 +346,12 @@ class TestXAsymmetric:
         rng = np.random.default_rng(14)
         t = random_t(rng)
         s1 = np.linalg.svd(t, compute_uv=False)[0]
-        report = mermin_bound_x_asymmetric(t, 0.9, 0.0, 0.7, 0.6)
+        report = mermin_bound_x_asymmetric(*_t_svals(t), 0.9, 0.0, 0.7, 0.6)
         assert abs(report.bound_value - 2 * 0.7 * 0.6 * 0.9 * s1) < 1e-12
         assert report.achieving_angles[1] == 0.0  # angle condition trivial
 
     def test_ghz_value_by_substitution(self):
-        report = mermin_bound_x_asymmetric(ghz_t(), 1.0, 0.5, 1.0, 1.0)
+        report = mermin_bound_x_asymmetric(*_t_svals(ghz_t()), 1.0, 0.5, 1.0, 1.0)
         assert abs(report.bound_value - np.sqrt(10.0)) < 1e-12
 
     def test_is_an_upper_bound_over_all_angles(self):
@@ -359,7 +360,7 @@ class TestXAsymmetric:
             rx, rxp = sorted(rng.uniform(0, 1, 2), reverse=True)
             ry, rz = rng.uniform(0, 1, 2)
             t = random_t(rng, top=rng.uniform(0.5, 1.5))
-            value = mermin_bound_x_asymmetric(t, rx, rxp, ry, rz).bound_value
+            value = mermin_bound_x_asymmetric(*_t_svals(t), rx, rxp, ry, rz).bound_value
             st = Strengths(rx, rxp, ry, ry, rz, rz)
             for _ in range(40):
                 ang = tuple(rng.uniform(0, np.pi, 3))
@@ -367,14 +368,14 @@ class TestXAsymmetric:
 
     def test_rejects_wrong_order(self):
         with pytest.raises(ValueError, match="rx >= rxp"):
-            mermin_bound_x_asymmetric(ghz_t(), 0.2, 0.8, 1.0, 1.0)
+            mermin_bound_x_asymmetric(*_t_svals(ghz_t()), 0.2, 0.8, 1.0, 1.0)
 
     def test_tstate_bound_covers_biased_optimum(self):
         # with R_X > R_X' the bias-only maximum uses the larger slack 1 - R_X'
         t = np.zeros((3, 3, 3))
         t[0, 0, 0], t[1, 1, 1] = 0.3, 0.2
         st = Strengths(0.9, 0.3, 0.5, 0.5, 0.5, 0.5)
-        bound = mermin_bound_x_asymmetric(t.reshape(3, 9), 0.9, 0.3, 0.5, 0.5,
+        bound = mermin_bound_x_asymmetric(*_t_svals(t.reshape(3, 9)), 0.9, 0.3, 0.5, 0.5,
                                           tstate=True).bound_value
         best = bias_optimize(decomposition_from_t(t), st, "mermin",
                              SeeSawConfig(restarts=8)).value

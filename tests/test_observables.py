@@ -9,7 +9,7 @@ from bell3q import (GeneralObservable, MeasurementSetting, Strengths, ThreeQubit
                     ghz_state, mermin_bound_x_asymmetric, mermin_expectation,
                     parse_state_spec, svetlichny_expectation, random_state,
                     triple_expectation, variant_expectations)
-from bell3q.mermin import optimal_unbiased_angles
+from bell3q.mermin import _t_svals, optimal_unbiased_angles
 from bell3q.observables import OPERATORS
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -240,22 +240,22 @@ class TestGridAngles:
     @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
     def test_value_is_the_grid_maximum(self, operator):
         op = OPERATORS[operator]
-        optimal, unbiased = op.closed_form("optimal_angles"), op.closed_form("unbiased_general")
+        optimal, unbiased = op.closed_form("optimal_angles"), op.unbiased
         rng = np.random.default_rng(404)
         for seed in (3, 17, 29):
-            t = decompose(random_state(seed)).t_matrix
+            s = _t_svals(decompose(random_state(seed)).t_matrix)
             st = Strengths.from_iterable(rng.uniform(0.3, 1.0, 6))
-            angles, value = optimal(t, st)
-            assert value == pytest.approx(unbiased(t, st, angles).bound_value, rel=1e-12)
+            angles, value = optimal(*s, st)
+            assert value == pytest.approx(unbiased(*s, st, angles).bound_value, rel=1e-12)
             for k in rng.integers(0, 64, (500, 3)):
-                point = unbiased(t, st, tuple(k * np.pi / 63)).bound_value
+                point = unbiased(*s, st, tuple(k * np.pi / 63)).bound_value
                 assert point <= value * (1 + 1e-12), (seed, k)
 
     @pytest.mark.parametrize("resolution", [1, 0, -3])
     def test_resolution_below_two_is_rejected(self, resolution):
         t = decompose(random_state(3)).t_matrix
         with pytest.raises(ValueError, match="resolution must be >= 2"):
-            optimal_unbiased_angles(t, Strengths.uniform(0.8), resolution=resolution)
+            optimal_unbiased_angles(*_t_svals(t), Strengths.uniform(0.8), resolution=resolution)
 
 
 class TestSeededAngleSearch:
@@ -300,8 +300,8 @@ class TestSeededAngleSearch:
             rx, rxp = np.sort(rng.uniform(0.3, 1.0, 2))[::-1]
             ry, rz = rng.uniform(0.3, 1.0, 2)
             st = Strengths(rx, rxp, ry, ry, rz, rz)
-            _, value = optimal_unbiased_angles(t, st)
-            exact = mermin_bound_x_asymmetric(t, rx, rxp, ry, rz).bound_value
+            _, value = optimal_unbiased_angles(*_t_svals(t), st)
+            exact = mermin_bound_x_asymmetric(*_t_svals(t), rx, rxp, ry, rz).bound_value
             assert value == pytest.approx(exact, rel=1e-12), seed
 
 

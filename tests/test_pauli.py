@@ -144,6 +144,6 @@ class TestLocalUnitaryInvariance:
             rho = random_density(rng)
             u = kron3(random_su2(rng), random_su2(rng), random_su2(rng))
             rotated = u @ rho @ u.conj().T
-            sv_a = singular_values_3x9(decompose(ThreeQubitState(rho)).t_matrix).values
-            sv_b = singular_values_3x9(decompose(ThreeQubitState(rotated)).t_matrix).values
+            sv_a = singular_values_3x9(decompose(ThreeQubitState(rho)).t_matrix)
+            sv_b = singular_values_3x9(decompose(ThreeQubitState(rotated)).t_matrix)
             np.testing.assert_allclose(sv_a, sv_b, atol=1e-9)

@@ -97,8 +97,8 @@ class TestScaling:
         for v in (0.25, 0.5, 0.9):
             tv = decompose(white_noise_mix(base, v)).t_matrix
             np.testing.assert_allclose(tv, v * t1, atol=1e-12)
-            sv = singular_values_3x9(tv).values
-            np.testing.assert_allclose(sv, v * singular_values_3x9(t1).values, atol=1e-12)
+            sv = singular_values_3x9(tv)
+            np.testing.assert_allclose(sv, v * singular_values_3x9(t1), atol=1e-12)
 
 
 class TestParseSpec:

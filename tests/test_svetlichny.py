@@ -11,6 +11,7 @@ from bell3q import (Strengths, build_w_matrix, j_plus_minus, l_max,
                     svetlichny_bound_unbiased, svetlichny_bound_x_asymmetric,
                     svetlichny_six_variant_criterion,
                     svetlichny_sufficient_orthogonal)
+from bell3q.mermin import _t_svals
 from bell3q.svetlichny import (equal_strength_angles_svetlichny,
                                svetlichny_bound_x_asymmetric_best)
 
@@ -169,12 +170,14 @@ class TestEqualStrengths:
 
 class TestSufficientOrthogonal:
     def test_ghz_unit(self):
-        value, violated = svetlichny_sufficient_orthogonal(ghz_t(), Strengths.uniform(1.0))
+        value, violated = svetlichny_sufficient_orthogonal(*_t_svals(ghz_t()),
+                                                           Strengths.uniform(1.0))
         assert abs(value - 4.0 * ROOT2) < 1e-12
         assert violated
 
     def test_zero(self):
-        value, violated = svetlichny_sufficient_orthogonal(ghz_t(), Strengths.uniform(0.0))
+        value, violated = svetlichny_sufficient_orthogonal(*_t_svals(ghz_t()),
+                                                           Strengths.uniform(0.0))
         assert value == 0.0 and not violated
 
     def test_equals_general_bound_at_orthogonal_angles(self):
@@ -182,7 +185,7 @@ class TestSufficientOrthogonal:
         for _ in range(100):
             t = random_t(rng)
             st = random_strengths(rng)
-            value, _ = svetlichny_sufficient_orthogonal(t, st)
+            value, _ = svetlichny_sufficient_orthogonal(*_t_svals(t), st)
             assert abs(value - bound_at(t, st, ORTH)) < 1e-10
 
 
@@ -303,17 +306,17 @@ class TestXAsymmetric:
         rng = np.random.default_rng(14)
         t = random_t(rng)
         r = 0.8
-        a = svetlichny_bound_x_asymmetric(t, r, r, 0.7, 0.6, "mixed").bound_value
+        a = svetlichny_bound_x_asymmetric(*_t_svals(t), r, r, 0.7, 0.6, "mixed").bound_value
         b = svetlichny_bound_equal_strengths(t, r, 0.7, 0.6).bound_value
         assert abs(a - b) < 1e-12
 
     def test_orthogonal_branch_ghz(self):
-        value = svetlichny_bound_x_asymmetric(ghz_t(), 1.0, 0.0, 1.0, 1.0,
+        value = svetlichny_bound_x_asymmetric(*_t_svals(ghz_t()), 1.0, 0.0, 1.0, 1.0,
                                               "orthogonal").bound_value
         assert abs(value - 2.0 * ROOT2) < 1e-12
 
     def test_parallel_branch_ghz(self):
-        report = svetlichny_bound_x_asymmetric(ghz_t(), 1.0, 1.0, 1.0, 1.0, "parallel")
+        report = svetlichny_bound_x_asymmetric(*_t_svals(ghz_t()), 1.0, 1.0, 1.0, 1.0, "parallel")
         assert abs(report.bound_value - 4.0 * ROOT2) < 1e-12
         assert report.achieving_angles[0] == 0.0
         assert report.achieving_angles[1] == 0.0  # sin ty sin tz = 0 here
@@ -322,7 +325,7 @@ class TestXAsymmetric:
         t = np.zeros((3, 9))
         t[0, 0], t[1, 4] = 1.0, 0.4
         with pytest.raises(ValueError, match="degenerate"):
-            svetlichny_bound_x_asymmetric(t, 0.9, 0.5, 1.0, 1.0, "parallel")
+            svetlichny_bound_x_asymmetric(*_t_svals(t), 0.9, 0.5, 1.0, 1.0, "parallel")
 
     def test_branch_values_dominate_bound_at_branch_angles(self):
         rng = np.random.default_rng(15)
@@ -332,15 +335,15 @@ class TestXAsymmetric:
             st = Strengths(rx, rxp, ry, ry, rz, rz)
             t = random_t(rng)
             for branch in ("orthogonal", "mixed"):
-                report = svetlichny_bound_x_asymmetric(t, rx, rxp, ry, rz, branch)
+                report = svetlichny_bound_x_asymmetric(*_t_svals(t), rx, rxp, ry, rz, branch)
                 value_at = bound_at(t, st, report.achieving_angles)
                 assert value_at <= report.bound_value + 1e-9
 
     def test_best_aggregator(self):
         rng = np.random.default_rng(16)
         t = random_t(rng)
-        best = svetlichny_bound_x_asymmetric_best(t, 0.9, 0.4, 0.8, 0.7)
-        values = [svetlichny_bound_x_asymmetric(t, 0.9, 0.4, 0.8, 0.7, b).bound_value
+        best = svetlichny_bound_x_asymmetric_best(*_t_svals(t), 0.9, 0.4, 0.8, 0.7)
+        values = [svetlichny_bound_x_asymmetric(*_t_svals(t), 0.9, 0.4, 0.8, 0.7, b).bound_value
                   for b in ("orthogonal", "mixed")]
         assert best.bound_value == max(values)
 
