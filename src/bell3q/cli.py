@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -121,6 +122,11 @@ def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2
             raise IncompatibleError(
                 f"criterion {n!r} does not apply to this state/configuration")
     return names
+
+
+def _check_at_least(value: int, option: str, least: int = 0) -> None:
+    if value < least:
+        raise ConfigError(f"{option} must be an integer >= {least}, got {value}")
 
 
 def _check_angles(values, what: str):
@@ -241,8 +247,11 @@ def _emit(payload: dict, fmt: str, out_path):
             writer.writerow(cells)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -252,6 +261,8 @@ def _operators(arg: str) -> list[str]:
 
 
 def cmd_bound(args) -> int:
+    _check_at_least(args.oracle_restarts, "--oracle-restarts")
+    _check_at_least(args.seed, "--seed")
     context = _state_context(parse_state_spec(args.state))
     _, state_info, _, (s1, s2) = context
     strengths = Strengths.from_iterable(_parse_floats(args.strengths, 6, "--strengths"))
@@ -343,8 +354,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.budget < 1:
-        raise ConfigError(f"--budget must be an integer >= 1, got {args.budget}")
+    _check_at_least(args.budget, "--budget", 1)
+    _check_at_least(args.seed, "--seed")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     all_passed = True
     for name in names:
@@ -358,6 +369,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bell3q",

@@ -24,6 +24,8 @@ GHZ_TENSOR_27 = ",".join(str(x) for x in
                           0, 0, -1, -1, 0, 0, 0, 0, 0,
                           0, 0, 0, 0, 0, 0, 0, 0, 0])
 UNEQUAL_STRENGTHS = "0.9,0.8,0.7,0.7,0.6,0.6"
+# a missing parent directory, and a directory itself (tmp_path / "." is tmp_path)
+UNWRITABLE_OUT = pytest.mark.parametrize("out", ["missing/out.json", "."])
 
 
 def run(args, capsys):
@@ -289,6 +291,21 @@ class TestBound:
                           "--operator", "both"], capsys)
         assert code == 0 and len(calls) == 1
 
+    @UNWRITABLE_OUT
+    def test_unwritable_out_exit_2(self, out, tmp_path, capsys):
+        code, stdout, err = run(["bound", "--state", "ghz", "--out", str(tmp_path / out)],
+                                capsys)
+        assert code == 2 and "--out" in err and stdout == ""
+
+    @pytest.mark.parametrize("args,where", [
+        (["--seed", "-5", "--oracle-restarts", "1"], "--seed"),
+        (["--seed", "-5"], "--seed"),
+        (["--oracle-restarts", "-1"], "--oracle-restarts"),
+    ])
+    def test_negative_seed_or_restarts_exit_2(self, args, where, capsys):
+        code, out, err = run(["bound", "--state", "ghz", *args], capsys)
+        assert code == 2 and where in err and out == ""
+
 
 class TestScan:
     @pytest.mark.parametrize("bad", ["0,1", "0,1,x", "0,1,0", "0,1,2.5"])
@@ -384,6 +401,12 @@ class TestScan:
                              capsys)
         assert code == 2 and where in err and out == ""
 
+    @UNWRITABLE_OUT
+    def test_unwritable_out_exit_2(self, out, tmp_path, capsys):
+        code, stdout, err = run(["scan", "--state", "ghz", "--scan-axis", "visibility",
+                                 "--range", "0,1,2", "--out", str(tmp_path / out)], capsys)
+        assert code == 2 and "--out" in err and stdout == ""
+
 
 class TestVerify:
     def test_closed_form_suite_passes(self, capsys):
@@ -419,6 +442,10 @@ class TestVerify:
     def test_budget_below_one_exit_2(self, budget, capsys):
         code, out, err = run(["verify", "--suite", "all", "--budget", budget], capsys)
         assert code == 2 and "--budget" in err and "PASS" not in out
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(["verify", "--suite", "all", "--seed", "-1"], capsys)
+        assert code == 2 and "--seed" in err and "PASS" not in out
 
     def test_tightness_suite_passes(self, capsys):
         code, out, _ = run(["verify", "--suite", "tightness", "--budget", "6"],

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from bell3q import cli
 from bell3q.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,6 +49,20 @@ COMMANDS = {
 def test_stdout_matches_golden(name, capsys):
     assert main(COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    """One process, one parser: every request, a rejected one, then every request
+    in reverse order, each still byte-identical to its golden file."""
+    assert cli._build_parser() is cli._build_parser()
+    for name in COMMANDS:
+        test_stdout_matches_golden(name, capsys)
+    with pytest.raises(SystemExit) as info:
+        main(["bound"])  # --state missing
+    assert info.value.code == 2
+    capsys.readouterr()
+    for name in reversed(COMMANDS):
+        test_stdout_matches_golden(name, capsys)
 
 
 if __name__ == "__main__":
