@@ -80,8 +80,9 @@ class GeneralObservable:
 
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    # clamp before arccos so numerically parallel vectors cannot produce NaN
-    return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+    # atan2 of |a x b| and a.b is accurate at every angle; arccos(a.b) loses
+    # half the digits near 0 and pi (1 - 2e-16 gives 2e-8)
+    return float(np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ Two oracles validate the closed-form bounds:
 * ``see_saw_maximize``: alternating coordinate ascent over the six
   measurement directions.  The operator expectation is linear in each
   direction with the others held fixed, so each update replaces a direction
-  by its normalized linear coefficient (or, with a fixed relative angle, by
-  the best frame of the constrained pair).  Restarts run batched and are
+  by its normalized linear coefficient.  With a fixed relative angle the
+  pair's best frame is the polar factor of a 3x2 matrix, taken in closed form
+  (a cross-product basis and one 2x2 rotation), with LAPACK's SVD only for
+  rank-deficient rows.  Restarts run batched and are
   seeded independently, so serial and parallel evaluation agree.  Held at
   the relative angles of a bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the
   coefficient matrix, when a product rotation (one per remote party) aligns
@@ -20,6 +22,9 @@ Two oracles validate the closed-form bounds:
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +43,19 @@ __all__ = [
 ]
 
 DEGENERATE_COEFF = 1e-14
+_TINY = np.finfo(float).tiny
+
+# Maps on (k, batch) component arrays.  Applied to the outer product
+# (a[:, None] * b).reshape(9, -1) of two 3-vectors, _LEVI gives a x b (each
+# entry one difference of two rounded products, as in the textbook formula)
+# and _CROSS_DOT gives a x b and -a.b.
+_LEVI = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI[_i, _j, _k], _LEVI[_i, _k, _j] = 1.0, -1.0
+_LEVI = _LEVI.reshape(3, 9)
+_CROSS_DOT = np.vstack([_LEVI, -np.eye(3).reshape(1, 9)])
+_ROW_SUMS = np.kron(np.eye(2), np.ones(3))                  # two squared norms
+_SUM_DIFF = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(3))   # g1 + g2, g1 - g2
 
 
 @dataclass(frozen=True)
@@ -52,10 +70,16 @@ class SeeSawConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.convergence_tol < 1e-14:
+        if not self.convergence_tol >= 1e-14:  # also rejects NaN
             raise ValueError("convergence_tol must be >= 1e-14")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
+        angles = self.angle_constraints
+        if angles is not None and (len(angles) != 3 or not all(
+                a is None or (isinstance(a, numbers.Real) and math.isfinite(a))
+                for a in angles)):
+            raise ValueError("angle_constraints must be None or three entries, "
+                             "each None or a finite angle")
 
 
 @dataclass(frozen=True)
@@ -133,20 +157,62 @@ def _update_free(d: np.ndarray, slot: int, g: np.ndarray) -> None:
     pair[ok] = g[ok] / norms[ok][:, None]
 
 
-def _update_pair(d: np.ndarray, slot: int, theta: float,
-                 g1: np.ndarray, g2: np.ndarray) -> None:
+@functools.lru_cache(maxsize=16)
+def _half_angle(theta: float):
+    """ch, sh = cos, sin of theta/2, and the map from (cos phi, sin phi) to
+    the cos and sin of phi + theta/2 and of phi - theta/2."""
+    ch, sh = float(np.cos(theta / 2.0)), float(np.sin(theta / 2.0))
+    to_pair = np.array([[ch, -sh], [sh, ch], [ch, sh], [-sh, ch]])
+    to_pair.flags.writeable = False     # shared by every call at this theta
+    return ch, sh, to_pair
+
+
+def _update_pair(d: np.ndarray, slot: int, theta: float, g: np.ndarray) -> None:
     """Best orthonormal frame (e1, e2) for the pair at fixed relative angle.
 
-    A vanishing gradient still yields a frame (the SVD of the zero matrix is
-    orthonormal), so every pair ends at its relative angle.
+    The pair is ch e1 +- sh e2 (ch, sh the cosine and sine of theta/2), so
+    with ``g`` (batch, 2, 3) its gradients the update maximizes tr(E^T M)
+    over frames E = [e1, e2], M = [c1, c2] = [ch (g1 + g2), sh (g1 - g2)]:
+    E is the polar factor of M, taken here in closed form.  With
+    n = c1 x c2, the basis u1 = c1/|c1|, u2 = n/|n| x u1 of span(M) is
+    orthonormal to rounding whatever M's condition number, and in it M is
+    [[|c1|, u1.c2], [0, |n|/|c1|]].  That has a positive determinant, so its
+    polar factor is the rotation by phi with
+    (cos phi, sin phi) ~ (|c1|^2 + |n|, -c1.c2), and the pair is u1, u2
+    rotated by phi + theta/2 and phi - theta/2: no SVD and no trigonometric
+    call.  The work runs on (k, batch) component arrays in a fixed number of
+    numpy calls, whatever the batch.
+
+    At theta = 0 the second column is zero and both directions are c1/|c1|,
+    with no need for u2; at theta = pi, ch is 6e-17 rather than zero and the
+    form above gives c2/|c2| and its negative.  The rows left are those
+    where M is rank-deficient: a zero gradient, or parallel columns (n = 0;
+    c1 = 0 at theta = 0).  They have no unique polar factor and alone fall
+    back to LAPACK's SVD, so a vanishing gradient still yields a frame and
+    every pair ends at its relative angle.
     """
-    ch, sh = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    mat = np.stack([ch * (g1 + g2), sh * (g1 - g2)], axis=-1)  # (batch, 3, 2)
-    uu, _, vt = np.linalg.svd(mat, full_matrices=False)
-    frame = uu @ vt
-    e1, e2 = frame[..., 0], frame[..., 1]
-    d[:, slot] = ch * e1 + sh * e2
-    d[:, slot + 1] = ch * e1 - sh * e2
+    ch, sh, to_pair = _half_angle(theta)
+    m = _SUM_DIFF @ g.reshape(-1, 6).T                       # g1 + g2, g1 - g2
+    c1, c2 = m[:3] * ch, m[3:] * sh                           # (3, batch) each
+    n_p = _CROSS_DOT @ (c1[:, None] * c2).reshape(9, -1)      # c1 x c2, -c1.c2
+    basis = np.concatenate([c1, _LEVI @ (n_p[:3, None] * c1).reshape(9, -1)])
+    sq = _ROW_SUMS @ (basis * basis)
+    norms = np.sqrt(sq)                                       # |c1|, |n x c1|
+    safe = np.maximum(norms, _TINY)
+    # (|c1|^2 + |n|, -c1.c2), normalized; |n| = |n x c1| / |c1| as n is normal to c1
+    cos_sin = np.array([sq[0] + norms[1] / safe[0], n_p[3]])
+    cos_sin /= np.maximum(np.hypot(cos_sin[0], cos_sin[1]), _TINY)
+    coef = (to_pair @ cos_sin).reshape(2, 2, 1, -1)
+    u = basis.reshape(2, 3, -1) / safe[:, None]               # u1, u2
+    pair = coef[:, 0] * u[0] + coef[:, 1] * u[1]              # (2, 3, batch)
+    defined = norms[0] if sh == 0.0 else norms[1]
+    if np.count_nonzero(defined) < len(defined):
+        rank_deficient = defined == 0.0
+        mat = np.array([c1, c2])[:, :, rank_deficient].transpose(2, 1, 0)
+        uu, _, vt = np.linalg.svd(mat, full_matrices=False)
+        e1, e2 = (uu @ vt).transpose(2, 1, 0)
+        pair[:, :, rank_deficient] = [ch * e1 + sh * e2, ch * e1 - sh * e2]
+    d[:, slot:slot + 2] = pair.transpose(2, 0, 1)
 
 
 def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
@@ -164,7 +230,7 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
             if theta is None:
                 _update_free(d, slot, g)
             else:
-                _update_pair(d, slot, float(theta), g[:, 0], g[:, 1])
+                _update_pair(d, slot, float(theta), g)
         new_values = objective.value(d)
         if trace is not None:
             trace.append(new_values.copy())

@@ -9,6 +9,7 @@ from bell3q import (SeeSawConfig, Strengths, ThreeQubitState, bias_optimize, dec
                     mermin_expectation, see_saw_maximize, svetlichny_bound_unbiased,
                     svetlichny_expectation)
 from bell3q.mermin import build_v_matrix, equal_strength_angles
+from bell3q.oracle import _update_pair
 from bell3q.svetlichny import equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
 
@@ -104,6 +105,21 @@ class TestSeeSaw:
         with pytest.raises(ValueError):
             SeeSawConfig(convergence_tol=1e-16)
 
+    def test_nan_convergence_tol_is_rejected(self):
+        with pytest.raises(ValueError, match="convergence_tol"):
+            SeeSawConfig(convergence_tol=float("nan"))
+
+    @pytest.mark.parametrize("angles", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (np.nan, 1.0, 1.0),
+                                        (1.0, None, np.inf), ("1", None, None)])
+    def test_bad_angle_constraints_are_rejected(self, angles):
+        with pytest.raises(ValueError, match="angle_constraints"):
+            SeeSawConfig(angle_constraints=angles)
+
+    @pytest.mark.parametrize("angles", [None, (None, None, None),
+                                        (0, np.float64(1.5), np.pi)])
+    def test_good_angle_constraints_are_kept(self, angles):
+        assert SeeSawConfig(angle_constraints=angles).angle_constraints == angles
+
     def test_angle_constrained_tightness_one_case(self):
         rng = np.random.default_rng(7)
         r = (0.9, 0.8, 0.7)
@@ -128,6 +144,72 @@ class TestSeeSaw:
                                   kind, SeeSawConfig(restarts=3, angle_constraints=angles))
         np.testing.assert_allclose(result.setting.relative_angles, angles,
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    def test_pairs_held_at_zero_and_pi(self, kind):
+        angles = (0.0, np.pi / 2, np.pi)
+        for seed in range(6):
+            result = see_saw_maximize(decompose(ghz_state()), Strengths.uniform(0.8),
+                                      np.zeros(6), kind,
+                                      SeeSawConfig(restarts=4, seed=seed,
+                                                   angle_constraints=angles))
+            np.testing.assert_allclose(result.setting.relative_angles, angles,
+                                       rtol=0, atol=1e-12)
+
+
+def mixed_pair_batch():
+    """(g, generic): gradients (batch, 2, 3) with rows whose 3x2 matrix M is
+    rank-deficient between random ones (a zero gradient, g1 = 2.5 g2,
+    g1 = -g2, g1 = g2), and the indices of the random rows."""
+    g = np.random.default_rng(17).normal(size=(11, 2, 3))
+    g[2] = 0.0
+    g[4, 0] = 2.5 * g[4, 1]
+    g[6, 0] = -g[6, 1]
+    g[8, 0] = g[8, 1]
+    return g, [0, 1, 3, 5, 7, 9, 10]
+
+
+class TestUpdatePair:
+    """The closed-form polar factor against LAPACK's SVD on mixed batches."""
+
+    THETAS = [0.0, 0.4, np.pi / 2, 2.0, np.pi]
+
+    def run(self, theta):
+        g, generic = mixed_pair_batch()
+        d = np.random.default_rng(3).normal(size=(len(g), 6, 3))
+        before = d.copy()
+        _update_pair(d, 2, theta, g)
+        np.testing.assert_array_equal(np.delete(d, [2, 3], axis=1),
+                                      np.delete(before, [2, 3], axis=1))
+        ch, sh = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        mat = np.stack([ch * (g[:, 0] + g[:, 1]), sh * (g[:, 0] - g[:, 1])], axis=-1)
+        return g, generic, d[:, 2], d[:, 3], mat
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_unit_directions_at_the_relative_angle(self, theta):
+        _, _, d1, d2, _ = self.run(theta)
+        for direction in (d1, d2):
+            np.testing.assert_allclose(np.linalg.norm(direction, axis=1), 1.0,
+                                       rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.einsum("bi,bi->b", d1, d2), np.cos(theta),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_objective_is_the_nuclear_norm(self, theta):
+        g, _, d1, d2, mat = self.run(theta)
+        objective = np.einsum("bi,bi->b", g[:, 0], d1) + np.einsum("bi,bi->b", g[:, 1], d2)
+        nuclear = np.linalg.svd(mat, compute_uv=False).sum(axis=1)
+        np.testing.assert_allclose(objective, nuclear, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_random_rows_match_the_svd_frame(self, theta):
+        _, generic, d1, d2, mat = self.run(theta)
+        uu, _, vt = np.linalg.svd(mat[generic], full_matrices=False)
+        frame = uu @ vt
+        ch, sh = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        e1, e2 = frame[..., 0], frame[..., 1]
+        np.testing.assert_allclose(d1[generic], ch * e1 + sh * e2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d2[generic], ch * e1 - sh * e2, rtol=0, atol=1e-12)
 
 
 class TestSeeSawAgainstDenseTrace:
