@@ -61,12 +61,12 @@ class GeneralObservable:
         if direction.shape != (3,):
             raise ValueError("direction must be a 3-vector")
         norm = np.linalg.norm(direction)
-        if abs(norm - 1.0) > CONSTRAINT_TOL:
+        if not abs(norm - 1.0) <= CONSTRAINT_TOL:  # NaN fails each check
             raise ValueError(f"direction norm {norm!r} is not 1")
-        if self.strength < 0:
+        if not self.strength >= 0:
             raise ValueError("strength must be non-negative")
         # <= with slack so the boundary R + |B| = 1 (extreme biases) is accepted
-        if self.strength + abs(self.bias) > 1.0 + CONSTRAINT_TOL:
+        if not self.strength + abs(self.bias) <= 1.0 + CONSTRAINT_TOL:
             raise ValueError(
                 f"strength + |bias| = {self.strength + abs(self.bias)!r} exceeds 1")
         direction = direction.copy()

@@ -8,24 +8,27 @@ Two oracles validate the closed-form bounds:
   by its normalized linear coefficient.  With a fixed relative angle the
   pair's best frame is the polar factor of a 3x2 matrix, taken in closed form
   (a cross-product basis and one 2x2 rotation), with LAPACK's SVD only for
-  rank-deficient rows.  Restarts run batched and are
-  seeded independently, so serial and parallel evaluation agree.  Held at
-  the relative angles of a bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the
-  coefficient matrix, when a product rotation (one per remote party) aligns
-  the top right singular subspace of T with that of C, and ends below it
-  otherwise.
+  rank-deficient rows.  Restarts run batched and are seeded independently,
+  so serial and parallel evaluation agree.  Held at the relative angles of a
+  bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the coefficient matrix, when
+  a product rotation (one per remote party) aligns the top right singular
+  subspace of T with that of C, and ends below it otherwise.
 
-* ``bias_optimize``: for states fully described by their tripartite tensor,
-  biases enter only through a multilinear offset, so optimal biases sit at
-  the extremes +-(1 - R); all 64 sign patterns run through the see-saw.
+* ``bias_optimize``: on a T-state every local and bipartite coefficient
+  vanishes, so <operator> = A(directions) + K(biases), K the sign tensor
+  contracted with the six biases.  Flipping one party's pair of directions
+  (of biases) negates A (K), so max |A + K| = max |A| + max |K|: one
+  zero-bias see-saw climbs |A|, and K, multilinear in the biases, peaks at
+  one of the 64 extremes +-(1 - R).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -126,7 +129,7 @@ class _Objective:
         self.kernels = tuple(np.ascontiguousarray(kernel.transpose(axes)).reshape(64, 8).T
                              for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
         self.r = strengths
-        self.b = biases                # (batch, 6)
+        self.b = np.broadcast_to(biases, (len(orientation), 6))
         self.orientation = orientation  # (batch,)
 
     def _partial(self, d: np.ndarray, party: int):
@@ -243,11 +246,17 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
     return values, sweeps, hit_max, (np.array(trace) if trace is not None else None)
 
 
-def _result_from_batch(values, d, biases, strengths, sweeps, hit_max, trace) -> SeeSawResult:
+def _seesaw_batch(decomp: CorrelationDecomposition, r: np.ndarray, b: np.ndarray,
+                  signs: np.ndarray, config: SeeSawConfig):
+    """(result, directions, best row) of the see-saw at biases ``b``, in which
+    rows k and restarts + k climb +-<operator> from restart k's directions."""
+    init = _initial_directions(config.seed, config.restarts)
+    d = np.concatenate([init, init], axis=0)
+    objective = _Objective(decomp, r, b, signs, np.repeat([1.0, -1.0], config.restarts))
+    values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
     best = int(np.argmax(values))
-    setting = MeasurementSetting.from_arrays(biases[best], strengths, d[best])
-    return SeeSawResult(value=float(values[best]), setting=setting,
-                        sweeps=sweeps, hit_max_sweeps=hit_max, trace=trace)
+    setting = MeasurementSetting.from_arrays(b, r, d[best])
+    return SeeSawResult(float(values[best]), setting, sweeps, hit_max, trace), d, best
 
 
 def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
@@ -264,18 +273,9 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     b = np.asarray(biases, dtype=float)
     if b.shape != (6,):
         raise ValueError("biases must be six values")
-    if np.any(np.abs(b) > 1.0 - r + 1e-12):
+    if not np.all(np.abs(b) <= 1.0 - r + 1e-12):  # also rejects NaN
         raise ValueError("each |bias| must be at most 1 - strength")
-    operator_signs = OPERATORS[operator_kind].signs
-
-    init = _initial_directions(config.seed, config.restarts)
-    d = np.concatenate([init, init], axis=0)
-    orientation = np.concatenate([np.ones(config.restarts), -np.ones(config.restarts)])
-    b_batch = np.broadcast_to(b, (d.shape[0], 6)).copy()
-
-    objective = _Objective(decomp, r, b_batch, operator_signs, orientation)
-    values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
-    return _result_from_batch(values, d, b_batch, r, sweeps, hit_max, trace)
+    return _seesaw_batch(decomp, r, b, OPERATORS[operator_kind].signs, config)[0]
 
 
 def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
@@ -283,22 +283,22 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
                   config: SeeSawConfig = SeeSawConfig()) -> SeeSawResult:
     """Joint direction and bias optimization on a T-state.
 
-    On a T-state the objective is multilinear in the biases, so optimal
-    biases are extremal: every one of the 64 sign patterns +-(1 - R) runs
-    through the direction see-saw and the best result wins.
+    There <operator> = A(directions) + K(biases), so the zero-bias see-saw
+    maximizes |A|, and of the 64 extreme patterns +-(1 - R) the one whose K
+    has the sign of the best row's A is returned.  The value is the
+    |expectation| at the returned setting rather than A + K, as ``is_tstate``
+    tolerates local and bipartite blocks up to 1e-10.
     """
     if not is_tstate(decomp):
         raise ValueError("bias_optimize requires a T-state decomposition")
     r = strengths.as_array()
-    bars = strengths.bars
-    operator_signs = OPERATORS[operator_kind].signs
-
-    patterns = np.array([[(1 if (p >> i) & 1 else -1) for i in range(6)]
-                         for p in range(64)], dtype=float) * bars
-    init = _initial_directions(config.seed, config.restarts)
-
-    d = np.tile(init, (64, 1, 1))
-    b_batch = np.repeat(patterns, config.restarts, axis=0)
-    objective = _Objective(decomp, r, b_batch, operator_signs, np.ones(d.shape[0]))
-    values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
-    return _result_from_batch(values, d, b_batch, r, sweeps, hit_max, trace)
+    signs = OPERATORS[operator_kind].signs
+    result, d, best = _seesaw_batch(decomp, r, np.zeros(6), signs, config)
+    patterns = np.array(list(itertools.product((1.0, -1.0), repeat=6))) * strengths.bars
+    x, y, z = patterns.reshape(64, 3, 2).transpose(1, 0, 2)
+    k = np.einsum("abc,pa,pb,pc->p", signs, x, y, z)
+    b = patterns[np.argmax(k if best < config.restarts else -k)]
+    # over the whole batch: at b = 0 that is the see-saw's own arithmetic
+    value = _Objective(decomp, r, b, signs, np.ones(len(d))).value(d)[best]
+    return replace(result, value=abs(float(value)),
+                   setting=MeasurementSetting.from_arrays(b, r, d[best]))

@@ -66,6 +66,18 @@ class TestGeneralObservable:
         with pytest.raises(ValueError, match="non-negative"):
             GeneralObservable(bias=0.0, strength=-0.1, direction=EZ)
 
+    def test_nan_bias_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            GeneralObservable(bias=np.nan, strength=0.5, direction=EZ)
+
+    def test_nan_strength_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            GeneralObservable(bias=0.0, strength=np.nan, direction=EZ)
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            GeneralObservable(bias=0.0, strength=1.0, direction=np.array([np.nan, 0.0, 0.0]))
+
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             GeneralObservable(bias=0.0, strength=1.0, direction=np.array([1.0, 1.0, 0.0]))

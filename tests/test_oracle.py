@@ -1,5 +1,7 @@
 """Oracle tests: see-saw, bias optimization, attainability of the pairing bound."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from test_observables import dense_triple, random_density
 
 ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
 ROOT2 = np.sqrt(2.0)
+EXPECTATIONS = {"mermin": mermin_expectation, "svetlichny": svetlichny_expectation}
 
 
 def ghz_t3():
@@ -98,6 +101,11 @@ class TestSeeSaw:
         with pytest.raises(ValueError, match="bias"):
             see_saw_maximize(mixed_decomp(), Strengths.uniform(0.9),
                              np.full(6, 0.5), "mermin", SeeSawConfig(restarts=1))
+
+    def test_nan_biases_are_rejected(self):
+        with pytest.raises(ValueError, match="bias"):
+            see_saw_maximize(mixed_decomp(), Strengths.uniform(0.9),
+                             np.full(6, np.nan), "mermin", SeeSawConfig(restarts=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -235,11 +243,42 @@ class TestBiasOptimize:
                           SeeSawConfig(restarts=1))
 
     def test_unit_strengths_match_plain_seesaw(self):
+        # K is zero at unit strengths, so the bias oracle is the plain see-saw
         d = decomposition_from_t(ghz_t3())
-        cfg = SeeSawConfig(restarts=8, seed=9)
-        plain = see_saw_maximize(d, Strengths.uniform(1.0), np.zeros(6), "mermin", cfg)
-        biased = bias_optimize(d, Strengths.uniform(1.0), "mermin", cfg)
-        assert abs(plain.value - biased.value) < 1e-9
+        for angles in (None, ORTH):
+            cfg = SeeSawConfig(restarts=8, seed=9, angle_constraints=angles,
+                               record_trace=True)
+            plain = see_saw_maximize(d, Strengths.uniform(1.0), np.zeros(6), "mermin", cfg)
+            biased = bias_optimize(d, Strengths.uniform(1.0), "mermin", cfg)
+            assert biased.value == plain.value
+            for ours, theirs in zip(biased.setting.observables, plain.setting.observables):
+                np.testing.assert_array_equal(ours.direction, theirs.direction)
+            assert ((biased.sweeps, biased.hit_max_sweeps)
+                    == (plain.sweeps, plain.hit_max_sweeps))
+            assert biased.trace.shape == (biased.sweeps + 1, 2 * cfg.restarts)
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_matches_the_see_saw_at_every_bias_pattern(self, kind, held):
+        # the replaced algorithm: one biased see-saw per extreme sign pattern;
+        # the sweep cap, shared by both sides, keeps its 128 calls per case quick
+        rng = np.random.default_rng(43)
+        expectation = EXPECTATIONS[kind]
+        for seed in range(2):
+            t = rng.normal(size=(3, 3, 3))
+            d = decomposition_from_t(t / np.abs(t).max(), check=False)
+            st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
+            angles = tuple(rng.uniform(0.0, np.pi, 3)) if held else None
+            cfg = SeeSawConfig(restarts=2, max_sweeps=25, seed=seed, angle_constraints=angles)
+            loop = max(see_saw_maximize(d, st, np.array(signs) * st.bars, kind, cfg).value
+                       for signs in itertools.product((1.0, -1.0), repeat=6))
+            result = bias_optimize(d, st, kind, cfg)
+            assert result.value >= loop - 1e-12
+            assert abs(abs(expectation(d, result.setting)) - result.value) < 1e-12
+            np.testing.assert_array_equal(np.abs(result.setting.biases_array), st.bars)
+            if held:
+                np.testing.assert_allclose(result.setting.relative_angles, angles,
+                                           rtol=0, atol=1e-9)
 
     def test_zero_strengths_reach_bias_maximum(self):
         d = mixed_decomp()
