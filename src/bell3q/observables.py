@@ -270,7 +270,7 @@ class Operator:
         With q = p / window_threshold the unbiased and biased optima cross the
         classical limit where R^3 q = 1 and R^3 q + (1 - R)^3 = 1.
         """
-        if p <= self.window_threshold:
+        if not p > self.window_threshold:  # also rejects NaN
             raise ValueError(f"window requires sqrt(s1^2+s2^2) > "
                              f"{self.window_threshold:.6g}, got {p!r}")
         q = p / self.window_threshold

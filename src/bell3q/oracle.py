@@ -2,23 +2,25 @@
 
 Two oracles validate the closed-form bounds:
 
-* ``see_saw_maximize``: alternating coordinate ascent over the six
-  measurement directions.  The operator expectation is linear in each
-  direction with the others held fixed, so each update replaces a direction
-  by its normalized linear coefficient.  With a fixed relative angle the
-  pair's best frame is the polar factor of a 3x2 matrix, taken in closed form
-  (a cross-product basis and one 2x2 rotation), with LAPACK's SVD only for
-  rank-deficient rows.  Restarts run batched and are seeded independently,
-  so serial and parallel evaluation agree.  Held at the relative angles of a
-  bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the coefficient matrix, when
-  a product rotation (one per remote party) aligns the top right singular
-  subspace of T with that of C, and ends below it otherwise.
+* ``see_saw_maximize``: alternating coordinate ascent over the six measurement
+  directions.  The operator expectation is linear in each direction with the
+  others held fixed, so each update replaces a direction by its normalized
+  linear coefficient.  With a fixed relative angle the pair's best frame is
+  the polar factor of a 3x2 matrix, taken in closed form (a cross-product
+  basis and one 2x2 rotation), with LAPACK's SVD only for rank-deficient rows.
+  Restarts run batched and are seeded independently, so serial and parallel
+  evaluation agree.  Only +<operator> is climbed at zero biases, where
+  <operator> is odd in X's pair of directions.  The first sweep may lower the
+  value, so convergence is judged from the second.  Held at the relative
+  angles of a bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the coefficient
+  matrix, when a product rotation (one per remote party) aligns the top right
+  singular subspaces of T and C, and ends below it otherwise.
 
 * ``bias_optimize``: on a T-state every local and bipartite coefficient
   vanishes, so <operator> = A(directions) + K(biases), K the sign tensor
   contracted with the six biases.  Flipping one party's pair of directions
   (of biases) negates A (K), so max |A + K| = max |A| + max |K|: one
-  zero-bias see-saw climbs |A|, and K, multilinear in the biases, peaks at
+  zero-bias see-saw climbs A, and K, multilinear in the biases, peaks at
   one of the 64 extremes +-(1 - R).
 """
 
@@ -71,6 +73,12 @@ class SeeSawConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        for name in ("restarts", "max_sweeps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not self.convergence_tol >= 1e-14:  # also rejects NaN
@@ -99,17 +107,11 @@ def _initial_directions(seed: int, n_restarts: int) -> np.ndarray:
 
     Sphere sampling via cos(theta) = 2u - 1, phi = 2 pi v avoids pole bias.
     """
-    dirs = np.empty((n_restarts, 6, 3))
-    for r in range(n_restarts):
-        rng = np.random.default_rng(seed + r)
-        u, v = rng.uniform(size=(2, 6))
-        ct = 2.0 * u - 1.0
-        st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
-        phi = 2.0 * np.pi * v
-        dirs[r, :, 0] = st * np.cos(phi)
-        dirs[r, :, 1] = st * np.sin(phi)
-        dirs[r, :, 2] = ct
-    return dirs
+    u, v = np.array([np.random.default_rng(seed + r).uniform(size=(2, 6))
+                     for r in range(n_restarts)]).transpose(1, 0, 2)
+    ct, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
+    st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
+    return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
 
 
 class _Objective:
@@ -119,6 +121,7 @@ class _Objective:
     sum S[a,b,c] Lambda[mu,nu,gamma] hX[a,mu] hY[b,nu] hZ[c,gamma].  No
     product holds both observables of one party, so one contraction over the
     other two parties gives the gradient for both of a party's directions.
+    At zero biases it is odd in X's pair: orientation -1 is +1 with X negated.
     """
 
     def __init__(self, decomp: CorrelationDecomposition, strengths: np.ndarray,
@@ -239,7 +242,8 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
             trace.append(new_values.copy())
         improvement = np.max(new_values - values)
         values = new_values
-        if improvement < config.convergence_tol:
+        # sweep 1 moves held pairs onto their angles and may lower the value
+        if sweep and improvement < config.convergence_tol:
             break
     else:
         hit_max = True
@@ -248,11 +252,12 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
 
 def _seesaw_batch(decomp: CorrelationDecomposition, r: np.ndarray, b: np.ndarray,
                   signs: np.ndarray, config: SeeSawConfig):
-    """(result, directions, best row) of the see-saw at biases ``b``, in which
-    rows k and restarts + k climb +-<operator> from restart k's directions."""
-    init = _initial_directions(config.seed, config.restarts)
-    d = np.concatenate([init, init], axis=0)
-    objective = _Objective(decomp, r, b, signs, np.repeat([1.0, -1.0], config.restarts))
+    """(result, directions, best row) of the see-saw at biases ``b``: row k
+    climbs +<operator> from restart k's directions, and at b != 0 row
+    restarts + k climbs -<operator> from them (at b = 0 that is row k, X negated)."""
+    orientation = [1.0, -1.0] if np.any(b) else [1.0]
+    d = np.tile(_initial_directions(config.seed, config.restarts), (len(orientation), 1, 1))
+    objective = _Objective(decomp, r, b, signs, np.repeat(orientation, config.restarts))
     values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
     best = int(np.argmax(values))
     setting = MeasurementSetting.from_arrays(b, r, d[best])
@@ -265,9 +270,9 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     """Maximize |<operator>| over measurement directions at fixed strengths
     and biases.
 
-    The returned value is the absolute expectation at the returned setting
-    (both operator signs are climbed, so a sign-flipped optimum is found
-    too).  Non-decreasing within each restart by construction.
+    The returned value is |expectation| at the returned setting.  Both operator
+    signs are climbed at nonzero biases; at zero biases -<operator> is
+    +<operator> with X negated.  Non-decreasing per restart after sweep 1.
     """
     r = strengths.as_array()
     b = np.asarray(biases, dtype=float)
@@ -284,8 +289,8 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
     """Joint direction and bias optimization on a T-state.
 
     There <operator> = A(directions) + K(biases), so the zero-bias see-saw
-    maximizes |A|, and of the 64 extreme patterns +-(1 - R) the one whose K
-    has the sign of the best row's A is returned.  The value is the
+    maximizes A (its rows climb +A, -A being A with X's pair negated), and
+    the extreme pattern +-(1 - R) of largest K is returned.  The value is the
     |expectation| at the returned setting rather than A + K, as ``is_tstate``
     tolerates local and bipartite blocks up to 1e-10.
     """
@@ -297,7 +302,7 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
     patterns = np.array(list(itertools.product((1.0, -1.0), repeat=6))) * strengths.bars
     x, y, z = patterns.reshape(64, 3, 2).transpose(1, 0, 2)
     k = np.einsum("abc,pa,pb,pc->p", signs, x, y, z)
-    b = patterns[np.argmax(k if best < config.restarts else -k)]
+    b = patterns[np.argmax(k)]
     # over the whole batch: at b = 0 that is the see-saw's own arithmetic
     value = _Objective(decomp, r, b, signs, np.ones(len(d))).value(d)[best]
     return replace(result, value=abs(float(value)),

@@ -314,6 +314,10 @@ class TestBiasedWindow:
         with pytest.raises(ValueError):
             mermin_biased_window(1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="window requires"):
+            mermin_biased_window(float("nan"))
+
     def test_sqrt2(self):
         ru, rb = mermin_biased_window(np.sqrt(2.0))
         assert abs(ru - 2.0 ** (-1.0 / 6.0)) < 1e-12

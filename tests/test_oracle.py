@@ -11,7 +11,8 @@ from bell3q import (SeeSawConfig, Strengths, ThreeQubitState, bias_optimize, dec
                     mermin_expectation, see_saw_maximize, svetlichny_bound_unbiased,
                     svetlichny_expectation)
 from bell3q.mermin import build_v_matrix, equal_strength_angles
-from bell3q.oracle import _update_pair
+from bell3q.observables import OPERATORS
+from bell3q.oracle import _Objective, _initial_directions, _run_seesaw, _update_pair
 from bell3q.svetlichny import equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
 
@@ -113,6 +114,19 @@ class TestSeeSaw:
         with pytest.raises(ValueError):
             SeeSawConfig(convergence_tol=1e-16)
 
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("seed", np.float64(3.0)),
+                                             ("restarts", 2.5), ("restarts", True),
+                                             ("max_sweeps", 2.5)])
+    def test_counts_must_be_non_negative_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SeeSawConfig(**{name: value})
+
+    def test_numpy_integer_counts_are_kept(self):
+        cfg = SeeSawConfig(restarts=np.int64(2), max_sweeps=np.int32(3), seed=np.uint32(4))
+        result = see_saw_maximize(decompose(ghz_state()), Strengths.uniform(0.8),
+                                  np.zeros(6), "mermin", cfg)
+        assert result.value > 0.0 and result.sweeps <= 3
+
     def test_nan_convergence_tol_is_rejected(self):
         with pytest.raises(ValueError, match="convergence_tol"):
             SeeSawConfig(convergence_tol=float("nan"))
@@ -163,6 +177,116 @@ class TestSeeSaw:
                                                    angle_constraints=angles))
             np.testing.assert_allclose(result.setting.relative_angles, angles,
                                        rtol=0, atol=1e-12)
+
+
+def mirrored_reference(decomp, strengths, kind, config):
+    """The replaced zero-bias batch, kept as a reference: rows k and
+    restarts + k climb +-<operator> from restart k's directions, and the bias
+    oracle takes the extreme pattern whose K has the sign of the best row.
+
+    Returns (see-saw value, bias-oracle value, best row, its directions,
+    sweeps, hit_max).
+    """
+    r, signs, n = strengths.as_array(), OPERATORS[kind].signs, config.restarts
+    init = _initial_directions(config.seed, n)
+    d = np.concatenate([init, init])
+    objective = _Objective(decomp, r, np.zeros(6), signs, np.repeat([1.0, -1.0], n))
+    values, sweeps, hit_max, _ = _run_seesaw(objective, d, config)
+    best = int(np.argmax(values))
+    patterns = np.array(list(itertools.product((1.0, -1.0), repeat=6))) * strengths.bars
+    x, y, z = patterns.reshape(64, 3, 2).transpose(1, 0, 2)
+    k = np.einsum("abc,pa,pb,pc->p", signs, x, y, z)
+    b = patterns[np.argmax(k if best < n else -k)]
+    biased = _Objective(decomp, r, b, signs, np.ones(2 * n)).value(d)[best]
+    return float(values[best]), abs(float(biased)), best, d[best], sweeps, hit_max
+
+
+def directions(setting):
+    return np.array([obs.direction for obs in setting.observables])
+
+
+class TestOneClimbPerRestart:
+    """At zero biases the see-saw climbs +<operator> only; the replaced
+    doubled batch, which also climbed -<operator>, gives the same results."""
+
+    def cases(self, held):
+        rng = np.random.default_rng(47)
+        for _ in range(2):
+            t = rng.normal(size=(3, 3, 3))
+            st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
+            angles = tuple(rng.uniform(0.0, np.pi, 3)) if held else None
+            yield decomposition_from_t(t / np.abs(t).max(), check=False), st, angles
+        yield mixed_decomp(), Strengths.uniform(0.6), ORTH if held else None
+        if held:
+            for angles in ((0.0, np.pi / 2, np.pi), (0.0, 0.0, 0.0)):
+                yield decomposition_from_t(ghz_t3()), Strengths.uniform(0.8), angles
+
+    def assert_same(self, decomp, st, kind, cfg):
+        value, biased_value, best, best_dirs, sweeps, hit_max = mirrored_reference(
+            decomp, st, kind, cfg)
+        assert best < cfg.restarts
+        plain = see_saw_maximize(decomp, st, np.zeros(6), kind, cfg)
+        biased = bias_optimize(decomp, st, kind, cfg)
+        assert (plain.value, biased.value) == (value, biased_value)
+        for result in (plain, biased):
+            np.testing.assert_array_equal(directions(result.setting), best_dirs)
+            assert (result.sweeps, result.hit_max_sweeps) == (sweeps, hit_max)
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("restarts", [2, 5, 20])
+    def test_matches_the_mirrored_batch(self, kind, held, restarts):
+        for decomp, st, angles in self.cases(held):
+            self.assert_same(decomp, st, kind,
+                             SeeSawConfig(restarts=restarts, seed=restarts,
+                                          angle_constraints=angles))
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_one_restart_matches_to_rounding(self, kind, held):
+        # a one-row batch takes another BLAS path, so only the values are compared
+        for decomp, st, angles in self.cases(held):
+            cfg = SeeSawConfig(restarts=1, seed=3, angle_constraints=angles)
+            value, biased_value, *_ = mirrored_reference(decomp, st, kind, cfg)
+            plain = see_saw_maximize(decomp, st, np.zeros(6), kind, cfg)
+            biased = bias_optimize(decomp, st, kind, cfg)
+            np.testing.assert_allclose([plain.value, biased.value], [value, biased_value],
+                                       rtol=1e-12, atol=1e-300)
+
+    def test_zero_tensor_takes_two_sweeps(self):
+        # no sweep can improve, and the first one is never taken as converged
+        result = see_saw_maximize(mixed_decomp(), Strengths.uniform(0.6), np.zeros(6),
+                                  "mermin", SeeSawConfig(restarts=3))
+        assert (result.value, result.sweeps, result.hit_max_sweeps) == (0.0, 2, False)
+
+    def test_nonzero_biases_climb_both_signs(self):
+        # mermin on GHZ correlations at biases -(1 - R): K = 2 (R - 1)^3 < 0, so
+        # the maximum max A + |K| sits at a negative expectation
+        d = decomposition_from_t(ghz_t3())
+        st = Strengths.uniform(0.8)
+        biases = -st.bars
+        cfg = SeeSawConfig(restarts=4, seed=21, record_trace=True)
+        k = 2.0 * (-0.2) ** 3
+        a_max = see_saw_maximize(d, st, np.zeros(6), "mermin", cfg).value
+        result = see_saw_maximize(d, st, biases, "mermin", cfg)
+        assert abs(result.value - (a_max + abs(k))) < 1e-12
+        assert mermin_expectation(d, result.setting) < 0.0
+        assert result.trace.shape == (result.sweeps + 1, 2 * cfg.restarts)
+
+    def test_held_climb_is_not_stopped_by_its_first_sweep(self):
+        # the first sweep moves the held pairs onto their angles and lowers this
+        # climb's value; taken as converged there, it would stop 70 % low
+        rng = np.random.default_rng(2026)
+        for i in range(18):
+            t = rng.normal(size=(3, 3, 3))
+            d = decomposition_from_t(t / np.abs(t).max(), check=False)
+            st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
+            angles = tuple(rng.uniform(0.0, np.pi, 3))
+        cfg = SeeSawConfig(restarts=1, seed=17, angle_constraints=angles, record_trace=True)
+        result = see_saw_maximize(d, st, np.zeros(6), "svetlichny", cfg)
+        assert result.trace[1, 0] < result.trace[0, 0]
+        assert result.sweeps > 1
+        assert abs(result.value - 1.1257726719309988) <= 1e-12 * 1.1257726719309988
 
 
 def mixed_pair_batch():
@@ -255,7 +379,7 @@ class TestBiasOptimize:
                 np.testing.assert_array_equal(ours.direction, theirs.direction)
             assert ((biased.sweeps, biased.hit_max_sweeps)
                     == (plain.sweeps, plain.hit_max_sweeps))
-            assert biased.trace.shape == (biased.sweeps + 1, 2 * cfg.restarts)
+            assert biased.trace.shape == (biased.sweeps + 1, cfg.restarts)
 
     @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
     @pytest.mark.parametrize("held", [False, True])

@@ -283,6 +283,10 @@ class TestBiasedWindow:
         with pytest.raises(ValueError):
             svetlichny_biased_window(ROOT2)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="window requires"):
+            svetlichny_biased_window(float("nan"))
+
     def test_p_one_point_five(self):
         ru, rb = svetlichny_biased_window(1.5)
         assert rb < ru
