@@ -26,6 +26,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -209,7 +210,11 @@ def _attach_oracle(name: str, operator: str, report: BoundReport, decomp,
     config = SeeSawConfig(restarts=restarts, seed=seed, angle_constraints=constraints)
     result = (bias_optimize(decomp, strengths, operator, config) if mode == "bias"
               else see_saw_maximize(decomp, strengths, biases, operator, config))
-    return report.with_oracle(result.value)
+    report = report.with_oracle(result.value)
+    if result.hit_max_sweeps:
+        notes = "; ".join(filter(None, (report.notes, "oracle stopped at its sweep cap")))
+        report = replace(report, notes=notes)
+    return report
 
 
 def _report_dict(operator: str, report: BoundReport) -> dict:

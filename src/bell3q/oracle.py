@@ -10,11 +10,20 @@ Two oracles validate the closed-form bounds:
   basis and one 2x2 rotation), with LAPACK's SVD only for rank-deficient rows.
   Restarts run batched and are seeded independently, so serial and parallel
   evaluation agree.  Only +<operator> is climbed at zero biases, where
-  <operator> is odd in X's pair of directions.  The first sweep may lower the
+  <operator> is odd in X's pair of directions.  Alternating ascent converges
+  linearly, slowly when s2(T)/s1(T) is near 1, so from the sixth sweep on
+  each alternating pass is followed by one Newton step on the rotation
+  manifold (Absil, Mahony and Sepulchre, 2008): each free direction, and
+  each held pair as one, turns by a rotation vector, with the Hessian
+  built from the party-pair blocks of the operator.  Indefinite rows, and
+  rows whose Newton step would not climb, take the saddle-free step
+  (Dauphin et al., 2014), and a step is kept only where it raises the
+  value.  A sweep is one alternating pass plus, from the sixth on, its
+  Newton step; ``max_sweeps`` caps them.  The first sweep may lower the
   value, so convergence is judged from the second.  Held at the relative
   angles of a bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the coefficient
-  matrix, when a product rotation (one per remote party) aligns the top right
-  singular subspaces of T and C, and ends below it otherwise.
+  matrix, when a product rotation (one per remote party) aligns the top
+  right singular subspaces of T and C, and ends below it otherwise.
 
 * ``bias_optimize``: on a T-state every local and bipartite coefficient
   vanishes, so <operator> = A(directions) + K(biases), K the sign tensor
@@ -61,12 +70,16 @@ _LEVI = _LEVI.reshape(3, 9)
 _CROSS_DOT = np.vstack([_LEVI, -np.eye(3).reshape(1, 9)])
 _ROW_SUMS = np.kron(np.eye(2), np.ones(3))                  # two squared norms
 _SUM_DIFF = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(3))   # g1 + g2, g1 - g2
+_CROSS_MATRIX = _LEVI.reshape(3, 3, 3).swapaxes(0, 1).reshape(3, 9)  # d @ it: [d]x, flat
+
+_POLISH_FROM = 6      # the first sweep that ends with a Newton step
+_MAX_TURN = 0.5       # largest rotation angle of one Newton step, in radians
 
 
 @dataclass(frozen=True)
 class SeeSawConfig:
     restarts: int = 20
-    max_sweeps: int = 200
+    max_sweeps: int = 200  # alternating passes, each from the sixth on with a Newton step
     convergence_tol: float = 1e-12
     seed: int = 0
     angle_constraints: Optional[tuple] = None  # per-party angle or None
@@ -131,15 +144,21 @@ class _Objective:
         # (party p, earlier other party) matrix, flattened to 64 columns
         self.kernels = tuple(np.ascontiguousarray(kernel.transpose(axes)).reshape(64, 8).T
                              for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+        # cyclic[p][i, j, k] multiplies h_p[i] h_{p+1}[j] h_{p+2}[k], parties mod 3
+        self.cyclic = np.stack([kernel, kernel.transpose(1, 2, 0),
+                                kernel.transpose(2, 0, 1)]).reshape(3, 64, 8).swapaxes(1, 2)
         self.r = strengths
         self.b = np.broadcast_to(biases, (len(orientation), 6))
         self.orientation = orientation  # (batch,)
 
+    def _homogeneous(self, d: np.ndarray) -> np.ndarray:
+        h = np.concatenate([self.b[..., None], self.r[:, None] * d], axis=-1)
+        return h.reshape(-1, 3, 8)
+
     def _partial(self, d: np.ndarray, party: int):
         """Homogeneous vectors (batch, 3, 8) and the derivative of the operator
         with respect to ``party``'s (batch, 8)."""
-        h = np.concatenate([self.b[..., None], self.r[:, None] * d], axis=-1)
-        h = h.reshape(-1, 3, 8)
+        h = self._homogeneous(d)
         first, second = (q for q in range(3) if q != party)
         inner = (h[:, second] @ self.kernels[party]).reshape(-1, 8, 8)
         return h, np.einsum("bij,bj->bi", inner, h[:, first])
@@ -153,6 +172,130 @@ class _Objective:
         _, partial = self._partial(d, party)
         g = partial.reshape(-1, 2, 4)[..., 1:] * self.r[2 * party:2 * party + 2, None]
         return self.orientation[:, None, None] * g
+
+    def rotation_derivatives(self, d: np.ndarray, coords: np.ndarray):
+        """Gradient (batch, n) and Hessian (batch, n, n) of the value at
+        rotation coordinates x = 0, where direction s turns to exp([w_s]x) d_s
+        and the six rotation vectors are w = coords @ x, ``coords``
+        (batch, 18, n) from ``_rotation_coordinates``.
+
+        A direction turns by w x d = -[d]x w, so its gradient is d x g, g the
+        direction gradient.  The operator is linear in each party's
+        homogeneous vector h_p, so the Hessian has two parts: between parties
+        p and p + 1, their 8x8 block of second derivatives (the third party
+        contracted) taken to rotation coordinates by the Jacobians -r [d]x of
+        both sides, and for each direction the second order of its rotation,
+        (g d^T + d g^T)/2 - (g.d) I.  The products are one matmul per party
+        against the batch, as in ``_partial``, one small matrix per row, or
+        exact ones with the 0/+-1 cross-product constants.
+        """
+        batch = len(d)
+        h = self._homogeneous(d).swapaxes(0, 1)                  # (3, batch, 8)
+        third = h[[2, 0, 1]] * self.orientation[:, None]
+        pair = (third @ self.cyclic).reshape(3, batch, 8, 8)     # d2 value / dh_p dh_{p+1}
+        dh = np.einsum("pbij,pbj->pbi", pair, h[[1, 2, 0]])      # d value / dh_p
+        g = dh.reshape(3, batch, 2, 4)[..., 1:].swapaxes(0, 1) * self.r.reshape(3, 2, 1)
+        # gd[s] = g_s d_s^T: the gradient d x g is its cross-product part
+        gd = g.reshape(-1, 3, 1) * d.reshape(-1, 1, 3)
+        grad = -(gd.reshape(-1, 9) @ _LEVI.T).reshape(batch, 1, 18)
+        # jac[p, b, (a, 1 + i), (a, k)] = d h_p[a, 1 + i] / d w_{p,a}[k] = -r [d]x
+        cross = (d.reshape(-1, 3) @ _CROSS_MATRIX).reshape(batch, 3, 2, 3, 3).swapaxes(0, 1)
+        cross *= -self.r.reshape(3, 1, 2, 1, 1)
+        jac = np.zeros((3, batch, 2, 4, 2, 3))
+        jac[:, :, [0, 1], 1:, [0, 1]] = cross.transpose(2, 0, 1, 3, 4)
+        jac = jac.reshape(3, batch, 8, 6)
+        between = jac.swapaxes(-1, -2) @ pair @ jac[[1, 2, 0]]  # party blocks (p, p + 1)
+        hess = np.zeros((batch, 3, 6, 3, 6))
+        hess[:, [0, 1, 2, 1, 2, 0], :, [1, 2, 0, 0, 1, 2]] = np.concatenate(
+            [between, between.swapaxes(-1, -2)])
+        same = gd + gd.swapaxes(1, 2)
+        same.reshape(-1, 9)[:, ::4] -= np.trace(same, axis1=1, axis2=2)[:, None]
+        hess = hess.reshape(batch, 6, 3, 6, 3)
+        hess[:, np.arange(6), :, np.arange(6)] = 0.5 * same.reshape(batch, 6, 3, 3).swapaxes(0, 1)
+        hess = hess.reshape(batch, 18, 18)
+        return (grad @ coords)[:, 0], coords.swapaxes(1, 2) @ hess @ coords
+
+
+def _tied_rotations(constraints) -> tuple:
+    """(tied, free): the (18, n) map from the Newton step's n rotation
+    coordinates to the six directions' rotation vectors, where a free
+    direction has its own and a held pair turns as one, which keeps its
+    relative angle; and which of the six directions are free."""
+    free = np.array([constraints[slot // 2] is None for slot in range(6)])
+    group = np.cumsum(free | (np.arange(6) % 2 == 0)) - 1
+    return np.kron(np.eye(group[-1] + 1)[group], np.eye(3)), free
+
+
+def _rotation_coordinates(d: np.ndarray, tied: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """(batch, 18, n): ``tied`` with each free direction's rotation vector
+    projected off the direction itself.  A turn about d leaves d in place,
+    so that coordinate carries no gradient and no curvature at a maximum,
+    yet away from one the second order of exp couples it to the others;
+    projected out, the step is Newton's on the sphere."""
+    if not free.any():
+        return np.broadcast_to(tied, (len(d),) + tied.shape)
+    proj = np.eye(3) - free[:, None, None] * (d[..., :, None] * d[..., None, :])
+    return (proj @ tied.reshape(6, 3, -1)).reshape(len(d), 18, -1)
+
+
+def _rotate(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each direction of ``d`` (batch, 6, 3) turned by its rotation vector in
+    ``w`` (Rodrigues): with t = |w|,
+    d cos t + (w x d) sin(t)/t + w (w.d) (1 - cos t)/t^2,
+    where (1 - cos t)/t^2 = 2 (sin(t/2)/t)^2 keeps its precision at small t."""
+    t = np.sqrt((w * w).sum(axis=-1, keepdims=True))
+    safe = np.maximum(t, _TINY)             # w = 0 has w x d = 0 and w.d = 0
+    half = np.sin(0.5 * t) / safe
+    turned = np.cos(t) * d
+    w_x_d = ((w[..., :, None] * d[..., None, :]).reshape(-1, 9) @ _LEVI.T).reshape(d.shape)
+    turned += np.sin(t) / safe * w_x_d
+    turned += 2.0 * half * half * (w * d).sum(axis=-1, keepdims=True) * w
+    return turned
+
+
+def _newton_step(objective: _Objective, d: np.ndarray, values: np.ndarray,
+                 tied: np.ndarray, free: np.ndarray, tol: float) -> np.ndarray:
+    """One Newton step in rotation coordinates, kept on the rows where it
+    raises the value; returns the values and updates ``d`` in place.
+
+    With A = -H + 1e-12 |tr H| I, the step solves A x = gradient on the rows
+    where det A > 0 and x is an ascent direction.  The other rows are
+    indefinite (a negative determinant: an odd number of negative
+    eigenvalues) or otherwise not climbing, and plain Newton would head for
+    a saddle there, so they take the step with every eigenvalue of -H
+    replaced by its absolute value, as in saddle-free Newton.  A row's step
+    is scaled down so that no direction turns by more than _MAX_TURN, and a
+    row whose step promised a first-order gain above ``tol`` but did not
+    climb tries a quarter of it.
+    """
+    coords = _rotation_coordinates(d, tied, free)
+    grad, hess = objective.rotation_derivatives(d, coords)
+    shift = 1e-12 * np.abs(np.trace(hess, axis1=1, axis2=2))
+    shift[shift == 0.0] = 1.0                  # H = 0 (a zero tensor): A = I
+    system = shift[:, None, None] * np.eye(grad.shape[1]) - hess
+    solvable = np.linalg.slogdet(system)[0] > 0.0
+    step = np.zeros_like(grad)
+    step[solvable] = np.linalg.solve(system[solvable], grad[solvable, :, None])[..., 0]
+    bad = ~((step * grad).sum(axis=1) > 0.0)
+    if bad.any():
+        lam, vec = np.linalg.eigh(-hess[bad])
+        coef = (grad[bad, None] @ vec)[:, 0] / (np.abs(lam) + shift[bad, None])
+        step[bad] = (vec @ coef[..., None])[..., 0]
+    w = (coords @ step[..., None]).reshape(-1, 6, 3)
+    turn = np.sqrt((w * w).sum(axis=-1).max(axis=1))
+    w *= (_MAX_TURN / np.maximum(turn, _MAX_TURN))[:, None, None]
+    rotated = _rotate(d, w)
+    new_values = objective.value(rotated)
+    up = new_values > values
+    retry = ~up & ((step * grad).sum(axis=1) > tol)
+    if retry.any():
+        shorter = _rotate(d, 0.25 * w)
+        shorter_values = objective.value(shorter)
+        better = retry & (shorter_values > values)
+        rotated[better], new_values[better] = shorter[better], shorter_values[better]
+        up |= better
+    d[up] = rotated[up]
+    return np.where(up, new_values, values)
 
 
 def _update_free(d: np.ndarray, slot: int, g: np.ndarray) -> None:
@@ -222,7 +365,13 @@ def _update_pair(d: np.ndarray, slot: int, theta: float, g: np.ndarray) -> None:
 
 
 def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
+    """(values, sweeps, hit_max, trace) of the batched climb from ``d``,
+    which it updates in place.  A sweep updates each party in turn and, from
+    sweep _POLISH_FROM on, takes one Newton step; the climb stops when no
+    row gains convergence_tol in a sweep after the first, or after
+    max_sweeps sweeps."""
     constraints = config.angle_constraints or (None, None, None)
+    rotations = _tied_rotations(constraints)
     values = objective.value(d)
     trace = [values.copy()] if config.record_trace else None
     sweeps = 0
@@ -238,6 +387,9 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
             else:
                 _update_pair(d, slot, float(theta), g)
         new_values = objective.value(d)
+        if sweeps >= _POLISH_FROM:
+            new_values = _newton_step(objective, d, new_values, *rotations,
+                                      config.convergence_tol)
         if trace is not None:
             trace.append(new_values.copy())
         improvement = np.max(new_values - values)

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, scans, verify suites."""
 
 import csv
+import functools
 import io
 import json
 import re
@@ -15,6 +16,7 @@ from bell3q import (Strengths, build, decompose, ghz_state, mermin, mermin_bound
                     svetlichny_bound_degenerate_smax, svetlichny_bound_equal_strengths,
                     svetlichny_bound_tstate, svetlichny_bound_unbiased,
                     svetlichny_six_variant_criterion, svetlichny_sufficient_orthogonal)
+from bell3q import SeeSawConfig, cli
 from bell3q.cli import CRITERION_NAMES, main
 from bell3q.mermin import _t_svals
 from bell3q.svetlichny import svetlichny_bound_x_asymmetric_best
@@ -79,6 +81,23 @@ class TestBound:
         assert report["oracle"] is not None
         assert report["gap"] >= -1e-6
         assert abs(report["oracle"] - 4.0) < 1e-6
+
+    def test_capped_oracle_says_so(self, monkeypatch, capsys):
+        args = ["bound", "--state", "tstate:0.3,0,0,0,0.2,0,0,0,0", "--operator", "mermin",
+                "--strengths", "0.8,0.8,0.7,0.7,0.6,0.6", "--oracle-restarts", "2"]
+        code, out, _ = run(args, capsys)
+        converged = json.loads(out)["reports"]
+        assert code == 0 and not any("sweep cap" in r["notes"] for r in converged)
+        # convergence is judged from the second sweep on, so one sweep is always capped
+        monkeypatch.setattr(cli, "SeeSawConfig", functools.partial(SeeSawConfig, max_sweeps=1))
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        for before, after in zip(converged, json.loads(out)["reports"]):
+            if after["oracle"] is None:
+                assert after["notes"] == before["notes"]
+            else:
+                assert after["notes"] == "; ".join(filter(None, (
+                    before["notes"], "oracle stopped at its sweep cap"))), after
 
     def test_unphysical_tensor_is_reported(self, capsys):
         code, out, _ = run(["bound", "--state", f"tstate:{GHZ_TENSOR_27}",
@@ -451,3 +470,11 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", "tightness", "--budget", "6"],
                            capsys)
         assert code == 0
+
+    def test_tightness_suite_reports_sweeps_and_caps(self, capsys):
+        code, out, _ = run(["verify", "--suite", "tightness", "--budget", "6"], capsys)
+        assert code == 0
+        match = re.search(r"; (\d+) see-saw calls stopped at the 300-sweep cap, the longest "
+                          r"took (\d+) sweeps; worst instance", out)
+        assert match, out
+        assert match.group(1) == "0" and 2 <= int(match.group(2)) < 300

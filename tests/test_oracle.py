@@ -8,12 +8,13 @@ import pytest
 from bell3q import (SeeSawConfig, Strengths, ThreeQubitState, bias_optimize, decompose,
                     decomposition_from_t, ghz_state, mermin_biased_window,
                     mermin_bound_equal_strengths, mermin_bound_unbiased,
-                    mermin_expectation, see_saw_maximize, svetlichny_bound_unbiased,
-                    svetlichny_expectation)
+                    mermin_expectation, see_saw_maximize, svetlichny_bound_equal_strengths,
+                    svetlichny_bound_unbiased, svetlichny_expectation)
 from bell3q.mermin import build_v_matrix, equal_strength_angles
 from bell3q.observables import OPERATORS
-from bell3q.oracle import _Objective, _initial_directions, _run_seesaw, _update_pair
-from bell3q.svetlichny import equal_strength_angles_svetlichny
+from bell3q.oracle import (_Objective, _initial_directions, _newton_step, _rotate,
+                           _rotation_coordinates, _run_seesaw, _tied_rotations, _update_pair)
+from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
 
 from test_observables import dense_triple, random_density
@@ -342,6 +343,84 @@ class TestUpdatePair:
         e1, e2 = frame[..., 0], frame[..., 1]
         np.testing.assert_allclose(d1[generic], ch * e1 + sh * e2, rtol=0, atol=1e-12)
         np.testing.assert_allclose(d2[generic], ch * e1 - sh * e2, rtol=0, atol=1e-12)
+
+
+class TestNewtonPolish:
+    """The Newton step that follows each alternating sweep from the sixth on."""
+
+    CONSTRAINTS = [(None, None, None), (0.7, 1.2, 2.0), (None, 1.0, None)]
+
+    def objective(self, kind, biased):
+        rng = np.random.default_rng(61)
+        t = rng.normal(size=(3, 3, 3))
+        decomp = decomposition_from_t(t / np.abs(t).max(), check=False)
+        r = rng.uniform(0.2, 0.9, 6)
+        biases = (1.0 - r) * rng.uniform(-1.0, 1.0, 6) if biased else np.zeros(6)
+        orientation = np.array([1.0, -1.0, 1.0]) if biased else np.ones(3)
+        return _Objective(decomp, r, biases, OPERATORS[kind].signs, orientation)
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("angles", CONSTRAINTS)
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_derivatives_match_finite_differences(self, kind, angles, biased):
+        # central differences of the value along the rotation coordinates
+        objective = self.objective(kind, biased)
+        d = _initial_directions(4, 3)
+        coords = _rotation_coordinates(d, *_tied_rotations(angles))
+        grad, hess = objective.rotation_derivatives(d, coords)
+        n, h = coords.shape[2], 1e-4
+
+        def value(x):
+            return objective.value(_rotate(d, (coords @ x).reshape(3, 6, 3)))
+
+        e = h * np.eye(n)
+        fd_grad = np.array([value(e[i]) - value(-e[i]) for i in range(n)]).T / (2 * h)
+        fd_hess = np.array([[value(e[i] + e[j]) - value(e[i] - e[j]) - value(e[j] - e[i])
+                             + value(-e[i] - e[j]) for j in range(n)]
+                            for i in range(n)]).transpose(2, 0, 1) / (4 * h * h)
+        assert grad.shape == (3, n) and hess.shape == (3, n, n)
+        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=2e-7)
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("angles", CONSTRAINTS)
+    def test_step_turns_held_pairs_rigidly(self, kind, angles):
+        objective = self.objective(kind, False)
+        d = _initial_directions(5, 3)
+        # two sweeps put the held pairs on their angles
+        _run_seesaw(objective, d, SeeSawConfig(max_sweeps=2, angle_constraints=angles))
+        before = objective.value(d)
+        values = _newton_step(objective, d, before, *_tied_rotations(angles), 1e-12)
+        assert np.all(values >= before) and np.any(values > before)
+        np.testing.assert_array_equal(values, objective.value(d))
+        np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, rtol=0, atol=1e-12)
+        for party, theta in enumerate(angles):
+            if theta is not None:
+                cos = np.einsum("bi,bi->b", d[:, 2 * party], d[:, 2 * party + 1])
+                np.testing.assert_allclose(cos, np.cos(theta), rtol=0, atol=1e-12)
+
+    def test_near_degenerate_held_climbs_converge(self):
+        # criterion 6's draws at s2 = 0.97 s1: alternating ascent alone stops at
+        # the 200-sweep cap on all twelve calls, up to 9.3e-7 below the bound
+        rng = np.random.default_rng(2027)
+        for i in range(6):
+            r = rng.uniform(0.3, 1.0, 3)
+            st = Strengths.equal(*r)
+            s1 = rng.uniform(0.3, 1.0)
+            s2 = 0.97 * s1
+            s3 = rng.uniform(0.0, s2)
+            for kind, angles, build, bound in (
+                    ("mermin", equal_strength_angles(s1, s2), build_v_matrix,
+                     mermin_bound_equal_strengths),
+                    ("svetlichny", equal_strength_angles_svetlichny(s1, s2), build_w_matrix,
+                     svetlichny_bound_equal_strengths)):
+                t = saturable_tensor(rng, build(st, angles), s1, s2, s3)
+                result = see_saw_maximize(decomposition_from_t(t.reshape(3, 3, 3)), st,
+                                          np.zeros(6), kind,
+                                          SeeSawConfig(restarts=50, seed=2027 + i,
+                                                       angle_constraints=angles))
+                assert not result.hit_max_sweeps, (i, kind)
+                assert abs(bound(t, *r).bound_value - result.value) <= 1e-9, (i, kind)
 
 
 class TestSeeSawAgainstDenseTrace:
