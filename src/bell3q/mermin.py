@@ -255,15 +255,14 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
     """Bound when the two largest singular values of T coincide (s1 = s2).
 
     Value s_max * sqrt(I0 + 2 Gamma0) with
-    Gamma0 = R_X R_X' sqrt(R_Y^2 R_Y'^2 (R_Z^4 + R_Z'^4) + R_Z^2 R_Z'^2 (R_Y^4 + R_Y'^4)).
-    Valid for angle triples with ty = pi/2 or tz = pi/2 (the slices on which
-    the optimization is carried out); reaches 2 sqrt(2) s_max at unit strengths.
+    Gamma0 = R_X R_X' sqrt(R_Y^2 R_Y'^2 (R_Z^4 + R_Z'^4) + R_Z^2 R_Z'^2 (R_Y^4 + R_Y'^4)),
+    the radical of I+- at orthogonal angles.  Valid for angle triples with
+    ty = pi/2 or tz = pi/2 (the slices on which the optimization is carried
+    out); reaches 2 sqrt(2) s_max at unit strengths.
     """
     st = strengths
     i0, *_ = _i_coefficients(st)
-    gamma0 = st.rx * st.rxp * np.sqrt(
-        st.ry**2 * st.ryp**2 * (st.rz**4 + st.rzp**4)
-        + st.rz**2 * st.rzp**2 * (st.ry**4 + st.ryp**4))
+    gamma0 = _swing(st, np.pi / 2, np.pi / 2, np.pi / 2, 1.0, "I")
     value = s_max * np.sqrt(i0 + 2.0 * gamma0)
     # stated optimum: tan(tx) = Rz Rz' (Ry^2 + Ry'^2) / (Ry Ry' (Rz^2 - Rz'^2)),
     # cos(ty) = sign(Rx - Rx'), tz = pi/2

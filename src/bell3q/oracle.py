@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .observables import OPERATORS, MeasurementSetting
+from .observables import OPERATORS, MeasurementSetting, half_angle_rows
 from .pauli import CorrelationDecomposition
 from .reports import Strengths
 from .states import is_tstate
@@ -140,11 +140,8 @@ class _Objective:
     def __init__(self, decomp: CorrelationDecomposition, strengths: np.ndarray,
                  biases: np.ndarray, operator_signs: np.ndarray, orientation: np.ndarray):
         kernel = np.einsum("abc,mng->ambncg", operator_signs, decomp.lam).reshape(8, 8, 8)
-        # kernels[p] maps the h of the later of the other two parties to the
-        # (party p, earlier other party) matrix, flattened to 64 columns
-        self.kernels = tuple(np.ascontiguousarray(kernel.transpose(axes)).reshape(64, 8).T
-                             for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
-        # cyclic[p][i, j, k] multiplies h_p[i] h_{p+1}[j] h_{p+2}[k], parties mod 3
+        # the one table: cyclic[p][k, 8 i + j] multiplies h_{p+2}[k] h_p[i] h_{p+1}[j],
+        # parties mod 3, so h_{p+2} @ cyclic[p] is the (p, p + 1) block, flattened
         self.cyclic = np.stack([kernel, kernel.transpose(1, 2, 0),
                                 kernel.transpose(2, 0, 1)]).reshape(3, 64, 8).swapaxes(1, 2)
         self.r = strengths
@@ -156,12 +153,11 @@ class _Objective:
         return h.reshape(-1, 3, 8)
 
     def _partial(self, d: np.ndarray, party: int):
-        """Homogeneous vectors (batch, 3, 8) and the derivative of the operator
-        with respect to ``party``'s (batch, 8)."""
+        """Homogeneous vectors (batch, 3, 8) and d operator / d h_party (batch, 8):
+        the (party, party + 1) block contracted with party + 1."""
         h = self._homogeneous(d)
-        first, second = (q for q in range(3) if q != party)
-        inner = (h[:, second] @ self.kernels[party]).reshape(-1, 8, 8)
-        return h, np.einsum("bij,bj->bi", inner, h[:, first])
+        block = (h[:, (party + 2) % 3] @ self.cyclic[party]).reshape(-1, 8, 8)
+        return h, np.einsum("bij,bj->bi", block, h[:, (party + 1) % 3])
 
     def value(self, d: np.ndarray) -> np.ndarray:
         h, partial = self._partial(d, 0)
@@ -185,9 +181,9 @@ class _Objective:
         p and p + 1, their 8x8 block of second derivatives (the third party
         contracted) taken to rotation coordinates by the Jacobians -r [d]x of
         both sides, and for each direction the second order of its rotation,
-        (g d^T + d g^T)/2 - (g.d) I.  The products are one matmul per party
-        against the batch, as in ``_partial``, one small matrix per row, or
-        exact ones with the 0/+-1 cross-product constants.
+        (g d^T + d g^T)/2 - (g.d) I.  The blocks are h_{p+2} @ cyclic[p], as in
+        ``_partial``, one matmul for all three parties; the rest is one small
+        matrix per row, or exact products with the 0/+-1 cross-product constants.
         """
         batch = len(d)
         h = self._homogeneous(d).swapaxes(0, 1)                  # (3, batch, 8)
@@ -308,9 +304,10 @@ def _update_free(d: np.ndarray, slot: int, g: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=16)
 def _half_angle(theta: float):
-    """ch, sh = cos, sin of theta/2, and the map from (cos phi, sin phi) to
-    the cos and sin of phi + theta/2 and of phi - theta/2."""
-    ch, sh = float(np.cos(theta / 2.0)), float(np.sin(theta / 2.0))
+    """ch, sh = cos, sin of theta/2 from ``half_angle_rows`` (the frame of
+    ``coefficient_matrix``), and the map from (cos phi, sin phi) to the cos
+    and sin of phi + theta/2 and of phi - theta/2."""
+    ch, sh = (float(x) for x in half_angle_rows(theta)[0, :2])
     to_pair = np.array([[ch, -sh], [sh, ch], [ch, sh], [-sh, ch]])
     to_pair.flags.writeable = False     # shared by every call at this theta
     return ch, sh, to_pair

@@ -109,23 +109,23 @@ class CorrelationDecomposition:
     ``lam[mu, nu, gamma]`` is the expectation of the corresponding Pauli
     string.  Views: ``bloch_a/b/c`` are the single-party Bloch vectors,
     ``theta_mat/phi_mat/omega_mat`` the two-party correlation blocks (AB,
-    AC, BC) and ``t_tensor`` the 3x3x3 tripartite block.
+    AC, BC) and ``t_tensor`` the 3x3x3 tripartite block.  Construction always
+    checks lam[0, 0, 0] = 1 and every |coefficient| <= 1, to 1e-12.
     """
 
     lam: np.ndarray
 
-    def __init__(self, lam, *, check: bool = True):
+    def __init__(self, lam):
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (4, 4, 4):
             raise ValueError(f"expected a 4x4x4 coefficient array, got {lam.shape}")
-        if check:
-            if abs(lam[0, 0, 0] - 1.0) > COEFF_TOL:
-                raise PhysicalityError(
-                    f"normalization coefficient is {lam[0, 0, 0]!r}, expected 1")
-            big = np.max(np.abs(lam))
-            if big > 1.0 + COEFF_TOL:
-                raise PhysicalityError(
-                    f"coefficient magnitude {big:.12f} exceeds 1 (unphysical)")
+        if abs(lam[0, 0, 0] - 1.0) > COEFF_TOL:
+            raise PhysicalityError(
+                f"normalization coefficient is {lam[0, 0, 0]!r}, expected 1")
+        big = np.max(np.abs(lam))
+        if big > 1.0 + COEFF_TOL:
+            raise PhysicalityError(
+                f"coefficient magnitude {big:.12f} exceeds 1 (unphysical)")
         object.__setattr__(self, "lam", _readonly(lam))
 
     @property
@@ -193,17 +193,18 @@ def reconstruct(decomp: CorrelationDecomposition) -> ThreeQubitState:
     return ThreeQubitState(matrix, require_physical=False)
 
 
-def decomposition_from_t(t, *, check: bool = True) -> CorrelationDecomposition:
+def decomposition_from_t(t) -> CorrelationDecomposition:
     """Decomposition of a state with maximally mixed marginals (only T set).
 
-    The coefficient set need not correspond to a positive operator; bounds
-    and expectations are well defined functions of the coefficients alone.
+    Every |T entry| must be at most 1 (always checked), but the set need not
+    correspond to a positive operator; bounds and expectations are well
+    defined functions of the coefficients alone.
     """
     t3 = as_t_tensor(t)
     lam = np.zeros((4, 4, 4))
     lam[0, 0, 0] = 1.0
     lam[1:, 1:, 1:] = t3
-    return CorrelationDecomposition(lam, check=check)
+    return CorrelationDecomposition(lam)
 
 
 def as_t_matrix(t) -> np.ndarray:

@@ -166,8 +166,8 @@ _BRANCHES = ("orthogonal", "mixed", "parallel")
 
 
 def svetlichny_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: float,
-                                  rz: float, branch: str, tstate: bool = False) -> BoundReport:
-    """Bound with unequal strengths on the X side only (R_X >= R_X').
+                                  rz: float, branch: str) -> BoundReport:
+    """Unbiased bound with unequal strengths on the X side only (R_X >= R_X').
 
     Three angle regimes:
       orthogonal: all angles pi/2, value 2 R_Y R_Z (R_X s1 + R_X' s2);
@@ -176,6 +176,7 @@ def svetlichny_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, r
       parallel: tx = 0, sin(ty) sin(tz) = |R_X^2 - R_X'^2|/(R_X^2 + R_X'^2),
              value 2 sqrt(2) R_Y R_Z s_max sqrt(R_X^2 + R_X'^2); requires a
              doubly degenerate largest singular value.
+    The T-state term l_max is added once, by ``svetlichny_bound_x_asymmetric_best``.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -200,11 +201,7 @@ def svetlichny_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, r
         ratio = 0.0 if denom <= 0 else abs(rx**2 - rxp**2) / denom
         ty = float(np.arcsin(np.clip(np.sqrt(ratio), 0.0, 1.0)))
         angles = (0.0, ty, ty)
-    criterion = f"svetlichny_x_asymmetric_{branch}"
-    if tstate:
-        value += l_max(Strengths(rx, rxp, ry, ry, rz, rz))
-        criterion += "_tstate"
-    return BoundReport(bound_value=float(value), criterion=criterion,
+    return BoundReport(bound_value=float(value), criterion=f"svetlichny_x_asymmetric_{branch}",
                        achieving_angles=angles)
 
 
@@ -212,18 +209,21 @@ def svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz,
                                        tstate: bool = False) -> BoundReport:
     """Largest applicable branch value (aggregation, not a single stated result).
 
-    Branches whose values agree to 1e-12 relative are ties; the criterion and
-    angles then come from the first of them in the order mixed, orthogonal,
-    parallel, so last-bit rounding cannot decide which branch is reported.
+    Branches whose unbiased values agree to 1e-12 relative are ties; the
+    criterion and angles then come from the first of them in the order
+    mixed, orthogonal, parallel, so last-bit rounding cannot decide which
+    branch is reported.  ``tstate`` then adds l_max once, to the winner.
     """
     branches = ["mixed", "orthogonal"]
     if _degenerate(s1, s2):
         branches.append("parallel")
-    reports = [svetlichny_bound_x_asymmetric(s1, s2, rx, rxp, ry, rz, b, tstate) for b in branches]
+    reports = [svetlichny_bound_x_asymmetric(s1, s2, rx, rxp, ry, rz, b) for b in branches]
     top = max(r.bound_value for r in reports)
     best = next(r for r in reports if r.bound_value >= top - 1e-12 * abs(top))
+    if tstate:
+        top += l_max(Strengths(rx, rxp, ry, ry, rz, rz))
     return BoundReport(bound_value=top,
-                       criterion=best.criterion + "_best",
+                       criterion=best.criterion + ("_tstate_best" if tstate else "_best"),
                        achieving_angles=best.achieving_angles,
                        notes="maximum over applicable angle branches")
 

@@ -112,6 +112,10 @@ class TestBound:
                            capsys)
         assert code == 2 and "strength" in err
 
+    def test_coefficient_above_one_exit_2(self, capsys):
+        code, _, err = run(["bound", "--state", "tstate:1.5,0,0,0,0,0,0,0,0"], capsys)
+        assert code == 2 and "exceeds 1" in err
+
     def test_bad_angles_exit_2(self, capsys):
         code, _, err = run(["bound", "--state", "ghz", "--angles", "9,0,0"], capsys)
         assert code == 2 and "angles" in err

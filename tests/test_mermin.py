@@ -11,7 +11,7 @@ from bell3q import (SeeSawConfig, Strengths, bias_optimize, build_v_matrix, deco
                     mermin_bound_equal_strengths, mermin_bound_tstate,
                     mermin_bound_unbiased, mermin_bound_x_asymmetric,
                     mermin_six_variant_criterion, mermin_sufficient_orthogonal)
-from bell3q.mermin import _t_svals
+from bell3q.mermin import _i_coefficients, _t_svals
 
 ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
 
@@ -386,7 +386,27 @@ class TestXAsymmetric:
         assert best <= bound + 1e-12
 
 
+def degenerate_smax_reference(st, s_max, tstate):
+    """The replaced value, kept as a reference: Gamma0 written out term by
+    term rather than taken from the I+- radical at orthogonal angles."""
+    i0, *_ = _i_coefficients(st)
+    gamma0 = st.rx * st.rxp * np.sqrt(
+        st.ry**2 * st.ryp**2 * (st.rz**4 + st.rzp**4)
+        + st.rz**2 * st.rzp**2 * (st.ry**4 + st.ryp**4))
+    value = s_max * np.sqrt(i0 + 2.0 * gamma0)
+    return float(value + k_max(st) if tstate else value)
+
+
 class TestDegenerateSmax:
+    @pytest.mark.parametrize("tstate", [False, True])
+    def test_matches_the_written_out_gamma0(self, tstate):
+        rng = np.random.default_rng(20)
+        draws = [(random_strengths(rng), rng.uniform(0.0, 1.0)) for _ in range(2000)]
+        draws += [(Strengths.uniform(0.0), 1.0), (Strengths.uniform(1.0), 0.7)]
+        for st, s_max in draws:
+            value = mermin_bound_degenerate_smax(st, s_max, tstate=tstate).bound_value
+            assert value == degenerate_smax_reference(st, s_max, tstate), (st, s_max)
+
     def test_unit_strengths(self):
         value = mermin_bound_degenerate_smax(Strengths.uniform(1.0), 1.3).bound_value
         assert abs(value - 2 * np.sqrt(2) * 1.3) < 1e-12

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bell3q import (SeeSawConfig, Strengths, ThreeQubitState, bias_optimize, decompose,
-                    decomposition_from_t, ghz_state, mermin_biased_window,
-                    mermin_bound_equal_strengths, mermin_bound_unbiased,
+from bell3q import (CorrelationDecomposition, SeeSawConfig, Strengths, ThreeQubitState,
+                    bias_optimize, decompose, decomposition_from_t, ghz_state,
+                    mermin_biased_window, mermin_bound_equal_strengths, mermin_bound_unbiased,
                     mermin_expectation, see_saw_maximize, svetlichny_bound_equal_strengths,
                     svetlichny_bound_unbiased, svetlichny_expectation)
 from bell3q.mermin import build_v_matrix, equal_strength_angles
@@ -216,7 +216,7 @@ class TestOneClimbPerRestart:
             t = rng.normal(size=(3, 3, 3))
             st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
             angles = tuple(rng.uniform(0.0, np.pi, 3)) if held else None
-            yield decomposition_from_t(t / np.abs(t).max(), check=False), st, angles
+            yield decomposition_from_t(t / np.abs(t).max()), st, angles
         yield mixed_decomp(), Strengths.uniform(0.6), ORTH if held else None
         if held:
             for angles in ((0.0, np.pi / 2, np.pi), (0.0, 0.0, 0.0)):
@@ -280,7 +280,7 @@ class TestOneClimbPerRestart:
         rng = np.random.default_rng(2026)
         for i in range(18):
             t = rng.normal(size=(3, 3, 3))
-            d = decomposition_from_t(t / np.abs(t).max(), check=False)
+            d = decomposition_from_t(t / np.abs(t).max())
             st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
             angles = tuple(rng.uniform(0.0, np.pi, 3))
         cfg = SeeSawConfig(restarts=1, seed=17, angle_constraints=angles, record_trace=True)
@@ -353,7 +353,7 @@ class TestNewtonPolish:
     def objective(self, kind, biased):
         rng = np.random.default_rng(61)
         t = rng.normal(size=(3, 3, 3))
-        decomp = decomposition_from_t(t / np.abs(t).max(), check=False)
+        decomp = decomposition_from_t(t / np.abs(t).max())
         r = rng.uniform(0.2, 0.9, 6)
         biases = (1.0 - r) * rng.uniform(-1.0, 1.0, 6) if biased else np.zeros(6)
         orientation = np.array([1.0, -1.0, 1.0]) if biased else np.ones(3)
@@ -423,6 +423,53 @@ class TestNewtonPolish:
                 assert abs(bound(t, *r).bound_value - result.value) <= 1e-9, (i, kind)
 
 
+def kernels_reference(objective, decomp, signs, d):
+    """The replaced contraction, kept as a reference: one layout of the
+    8x8x8 table per party, kernels[p] taking the h of the later of the other
+    two parties to the (p, earlier other party) block.  Returns the value
+    and the three gradients (batch, 2, 3)."""
+    kernel = np.einsum("abc,mng->ambncg", signs, decomp.lam).reshape(8, 8, 8)
+    kernels = tuple(np.ascontiguousarray(kernel.transpose(axes)).reshape(64, 8).T
+                    for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+    h = objective._homogeneous(d)
+    partials = []
+    for party in range(3):
+        first, second = (q for q in range(3) if q != party)
+        inner = (h[:, second] @ kernels[party]).reshape(-1, 8, 8)
+        partials.append(np.einsum("bij,bj->bi", inner, h[:, first]))
+    orientation = objective.orientation
+    value = orientation * np.einsum("bi,bi->b", h[:, 0], partials[0])
+    grads = [orientation[:, None, None] * partial.reshape(-1, 2, 4)[..., 1:]
+             * objective.r[2 * party:2 * party + 2, None]
+             for party, partial in enumerate(partials)]
+    return value, grads
+
+
+class TestOneTable:
+    """The value and gradients from the one cyclic table, against the
+    replaced three-layout contraction."""
+
+    def test_matches_the_three_layouts(self):
+        rng = np.random.default_rng(53)
+        for i in range(300):
+            rows = int(rng.integers(1, 61))
+            lam = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
+            lam[0, 0, 0] = 1.0
+            decomp = CorrelationDecomposition(lam)
+            r = rng.uniform(0.0, 1.0, 6)
+            biases = (1.0 - r) * rng.uniform(-1.0, 1.0, 6) if i % 2 else np.zeros(6)
+            signs = OPERATORS["mermin" if i % 4 < 2 else "svetlichny"].signs
+            objective = _Objective(decomp, r, biases, signs, rng.choice([1.0, -1.0], rows))
+            d = rng.normal(size=(rows, 6, 3))
+            d /= np.linalg.norm(d, axis=-1, keepdims=True)
+            value, grads = kernels_reference(objective, decomp, signs, d)
+            np.testing.assert_array_equal(objective.value(d), value)
+            np.testing.assert_array_equal(objective.gradient(d, 0), grads[0])
+            np.testing.assert_array_equal(objective.gradient(d, 2), grads[2])
+            # party 1 sums in the Newton step's order, not the replaced one's
+            np.testing.assert_allclose(objective.gradient(d, 1), grads[1], rtol=0, atol=1e-15)
+
+
 class TestSeeSawAgainstDenseTrace:
     @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
     def test_value_is_the_trace_at_the_returned_setting(self, kind):
@@ -469,7 +516,7 @@ class TestBiasOptimize:
         expectation = EXPECTATIONS[kind]
         for seed in range(2):
             t = rng.normal(size=(3, 3, 3))
-            d = decomposition_from_t(t / np.abs(t).max(), check=False)
+            d = decomposition_from_t(t / np.abs(t).max())
             st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
             angles = tuple(rng.uniform(0.0, np.pi, 3)) if held else None
             cfg = SeeSawConfig(restarts=2, max_sweeps=25, seed=seed, angle_constraints=angles)
@@ -517,7 +564,7 @@ def pairing_residual(t, strengths, angles, kind):
     """
     target = PAIRING_BOUNDS[kind](t, strengths, angles).bound_value
     config = SeeSawConfig(max_sweeps=1000, seed=0x5EED, angle_constraints=tuple(angles))
-    result = see_saw_maximize(decomposition_from_t(t, check=False), strengths,
+    result = see_saw_maximize(decomposition_from_t(t), strengths,
                               np.zeros(6), kind, config)
     return (target - result.value) / max(1.0, target), result.setting
 

@@ -98,6 +98,22 @@ class TestDecompose:
             assert np.max(np.abs(d.lam)) <= 1.0 + 1e-12
 
 
+class TestCoefficientChecks:
+    """``CorrelationDecomposition`` checks every coefficient set it is built from."""
+
+    def test_t_entry_above_one_is_rejected(self):
+        t = np.zeros((3, 3, 3))
+        t[1, 2, 0] = 1.5
+        with pytest.raises(PhysicalityError, match="exceeds 1"):
+            decomposition_from_t(t)
+
+    def test_normalization_other_than_one_is_rejected(self):
+        lam = np.zeros((4, 4, 4))
+        lam[0, 0, 0] = 0.9
+        with pytest.raises(PhysicalityError, match="normalization"):
+            CorrelationDecomposition(lam)
+
+
 class TestReconstruct:
     def test_identity_coefficients(self):
         lam = np.zeros((4, 4, 4))

@@ -11,7 +11,7 @@ from bell3q import (Strengths, build_w_matrix, j_plus_minus, l_max,
                     svetlichny_bound_unbiased, svetlichny_bound_x_asymmetric,
                     svetlichny_six_variant_criterion,
                     svetlichny_sufficient_orthogonal)
-from bell3q.mermin import _t_svals
+from bell3q.mermin import _degenerate, _t_svals
 from bell3q.svetlichny import (equal_strength_angles_svetlichny,
                                svetlichny_bound_x_asymmetric_best)
 
@@ -305,7 +305,35 @@ class TestBiasedWindow:
             assert 2 * ROOT2 * mid**3 * p + 4 * (1 - mid) ** 3 > 4.0
 
 
+def per_branch_tstate_reference(s1, s2, rx, rxp, ry, rz):
+    """The replaced T-state sum, kept as a reference: l_max added to every
+    branch value, and the best branch chosen, ties included, on the sums.
+    Returns (value, criterion, angles)."""
+    extra = l_max(Strengths(rx, rxp, ry, ry, rz, rz))
+    branches = ["mixed", "orthogonal"] + (["parallel"] if _degenerate(s1, s2) else [])
+    reports = [svetlichny_bound_x_asymmetric(s1, s2, rx, rxp, ry, rz, b) for b in branches]
+    values = [float(r.bound_value + extra) for r in reports]
+    top = max(values)
+    best = next(i for i, v in enumerate(values) if v >= top - 1e-12 * abs(top))
+    return (top, reports[best].criterion + "_tstate_best", reports[best].achieving_angles)
+
+
 class TestXAsymmetric:
+    def test_tstate_term_added_once_matches_per_branch_sums(self):
+        # includes s1 = s2 (where the parallel branch ties the mixed one) and R_X = R_X'
+        rng = np.random.default_rng(21)
+        for i in range(2000):
+            s1 = rng.uniform(0.0, 1.0)
+            s2 = s1 if i % 4 == 0 else rng.uniform(0.0, s1)
+            rx, rxp = sorted(rng.uniform(0.0, 1.0, 2), reverse=True)
+            if i % 3 == 0:
+                rxp = rx
+            ry, rz = rng.uniform(0.0, 1.0, 2)
+            report = svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz, tstate=True)
+            value, criterion, angles = per_branch_tstate_reference(s1, s2, rx, rxp, ry, rz)
+            assert report.bound_value == value, i
+            assert (report.criterion, report.achieving_angles) == (criterion, angles), i
+
     def test_mixed_branch_reduces_to_equal_strengths(self):
         rng = np.random.default_rng(14)
         t = random_t(rng)
