@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from .mermin import _degenerate, _t_svals
-from .observables import OPERATORS
+from .observables import OPERATORS, angles_in_range
 from .oracle import SeeSawConfig, bias_optimize, see_saw_maximize
 from .pauli import decompose, decomposition_from_t, reconstruct
 from .reports import BoundReport, Strengths
@@ -131,7 +131,7 @@ def _check_at_least(value: int, option: str, least: int = 0) -> None:
 
 
 def _check_angles(values, what: str):
-    if not all(0.0 <= a <= np.pi + 1e-12 for a in values):
+    if not angles_in_range(values):
         raise ConfigError(f"{what}: angles must lie in [0, pi]")
     return values
 

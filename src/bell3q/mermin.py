@@ -2,8 +2,9 @@
 
 Everything here is a function of the two largest singular values s1 >= s2
 of the 3x9 tripartite correlation matrix T, the six strengths and the three
-relative angles.  The unbiased, equal-strength, six-variant and T-state
-bounds take T and find (s1, s2) themselves; the other forms take (s1, s2).
+relative angles.  Only ``mermin_bound_unbiased`` and ``mermin_bound_equal_strengths``
+take T; the other forms take (s1, s2), s_max or strengths.  The six-variant and
+T-state bounds and the biased window are methods of ``OPERATORS["mermin"]``.
 The central object is the 3x9 coefficient matrix V, whose singular values
 pair with those of T:
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .observables import OPERATORS
-from .pauli import CorrelationDecomposition, as_t_matrix
+from .pauli import as_t_matrix
 from .reports import BoundReport, ConsistencyError, Strengths
 from .smallmat import singular_values_3x9
 
@@ -33,18 +34,13 @@ __all__ = [
     "mermin_bound_equal_strengths",
     "equal_strength_bound",
     "mermin_sufficient_orthogonal",
-    "mermin_six_variant_criterion",
     "k_max",
-    "mermin_bound_tstate",
-    "mermin_biased_window",
     "mermin_bound_x_asymmetric",
     "mermin_bound_degenerate_smax",
     "optimal_unbiased_angles",
     "equal_strength_angles",
-    "MERMIN_CLASSICAL_BOUND",
 ]
 
-MERMIN_CLASSICAL_BOUND = OPERATORS["mermin"].classical_limit
 CLAMP_TOL = 1e-10
 
 
@@ -124,11 +120,7 @@ def i_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
 
 
 def mermin_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
-    """Upper bound for unbiased observables at the given strengths and angles.
-
-    Equals s1(T) s1(V) + s2(T) s2(V); attained when a product rotation aligns
-    the top right singular subspace of T with that of V.
-    """
+    """``Operator.unbiased`` at the singular values of ``t``."""
     return OPERATORS["mermin"].unbiased(*_t_svals(t), strengths, angles)
 
 
@@ -171,19 +163,7 @@ def mermin_sufficient_orthogonal(s1: float, s2: float, strengths: Strengths) -> 
     a = st.rx * np.sqrt(st.ry**2 * st.rzp**2 + st.ryp**2 * st.rz**2)
     b = st.rxp * np.sqrt(st.ry**2 * st.rz**2 + st.ryp**2 * st.rzp**2)
     value = float(a * s1 + b * s2)
-    return value, value > MERMIN_CLASSICAL_BOUND
-
-
-def mermin_six_variant_criterion(t, strengths: Strengths, angles) -> tuple[float, bool]:
-    """Criterion for violating at least one of the six exchanged operators.
-
-    Uses the absolute-value form of I+-: exchanging a party's observables
-    flips the sign of that party's angle-cosine cross term, so the largest
-    variant bound takes each cross term at its absolute value.  For equal
-    per-side strengths all cross terms vanish and the criterion coincides
-    exactly with the base bound.
-    """
-    return OPERATORS["mermin"].six_variant(*_t_svals(t), strengths, angles)
+    return value, value > OPERATORS["mermin"].classical_limit
 
 
 def k_max(strengths: Strengths) -> float:
@@ -198,30 +178,6 @@ def k_max(strengths: Strengths) -> float:
     e1 = bx * (by * bzp + byp * bz) + bxp * abs(by * bz - byp * bzp)
     e2 = bx * abs(by * bzp - byp * bz) + bxp * (by * bz + byp * bzp)
     return float(max(e1, e2))
-
-
-def mermin_bound_tstate(t, strengths: Strengths, angles,
-                        decomp: CorrelationDecomposition | None = None) -> BoundReport:
-    """Bound for arbitrary (possibly biased) observables on a T-state.
-
-    Adds the bias-only maximum ``k_max`` to the unbiased bound; biases and
-    directions are independent parameters, so both parts are simultaneously
-    achievable whenever the unbiased part is.  When ``decomp`` is supplied
-    the state is checked to actually be a T-state.
-    """
-    return OPERATORS["mermin"].tstate(*_t_svals(t), strengths, angles, decomp)
-
-
-def mermin_biased_window(p: float) -> tuple[float, float]:
-    """Strength window in which only biased observables can violate.
-
-    For equal strengths R on all six observables and P = sqrt(s1^2 + s2^2),
-    the unbiased optimum is 2 R^3 P and the biased T-state optimum adds
-    2 (1 - R)^3.  Returns (r_unbiased, r_biased): above r_unbiased the
-    unbiased optimum exceeds 2; above the strictly smaller r_biased the
-    biased optimum already does.
-    """
-    return OPERATORS["mermin"].biased_window(p)
 
 
 def mermin_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: float,

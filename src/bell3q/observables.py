@@ -36,6 +36,7 @@ __all__ = [
     "OPERATORS",
     "VARIANT_SWAPS",
     "half_angle_rows",
+    "angles_in_range",
 ]
 
 CONSTRAINT_TOL = 1e-12
@@ -147,6 +148,18 @@ def half_angle_rows(theta) -> np.ndarray:
     return np.array([[c, s, 0.0], [c, -s, 0.0]])
 
 
+def angles_in_range(angles) -> bool:
+    """Whether each relative angle lies in [0, pi], with 1e-12 slack above pi;
+    NaN fails.  Outside it the I+- and J+- closed forms, which take sin(theta_x)
+    unsquared, return P and M swapped and fall below the pairing."""
+    return all(0.0 <= a <= np.pi + CONSTRAINT_TOL for a in angles)
+
+
+def _require_angles(angles):
+    if not angles_in_range(angles):
+        raise ValueError(f"relative angles must lie in [0, pi], got {angles!r}")
+
+
 @dataclass(frozen=True)
 class Operator:
     """One Bell operator as data, and the bounds both operators share.
@@ -196,18 +209,28 @@ class Operator:
         return 0.5 * (s1 + s2) * plus + 0.5 * (s1 - s2) * minus
 
     def unbiased(self, s1, s2, strengths, angles) -> BoundReport:
+        """s1(T) s1(C) + s2(T) s2(C) for unbiased observables, attained when a product
+        rotation aligns the top right singular subspaces of T and C; angles in [0, pi]."""
+        _require_angles(angles)
         return BoundReport(bound_value=self.pair_bound(s1, s2, strengths, angles),
                            criterion=f"{self.name}_unbiased_general",
                            achieving_angles=tuple(float(a) for a in angles))
 
     def six_variant(self, s1, s2, strengths, angles) -> tuple[float, bool]:
-        """(value, value > classical limit) of the absolute-value pairing bound."""
+        """(value, value > classical limit), value the pairing bound with each
+        angle-cosine cross term at absolute value (Svetlichny's triple-cosine term
+        keeps its sign); it equals ``unbiased`` at equal per-side strengths.  A
+        criterion for the six ``VARIANT_SWAPS`` operators, not a bound on each: at
+        unequal strengths on all three parties a Mermin variant can exceed it."""
+        _require_angles(angles)
         value = float(self.pair_bound(s1, s2, strengths, angles, absolute=True))
         return value, value > self.classical_limit
 
     def tstate(self, s1, s2, strengths, angles, decomp=None) -> BoundReport:
-        """The unbiased bound plus the bias-only maximum ``bias_max``; with
-        ``decomp`` the state is checked to be a T-state."""
+        """The unbiased bound plus the bias-only maximum ``bias_max``, for biased
+        observables on a T-state.  Biases and directions are independent, so both
+        parts are reached together whenever the unbiased part is.  With ``decomp``
+        the state is checked to be a T-state."""
         if decomp is not None and not is_tstate(decomp):
             raise ValueError("state is not a T-state: local or bipartite blocks are nonzero")
         base = self.unbiased(s1, s2, strengths, angles)
@@ -267,8 +290,11 @@ class Operator:
     def biased_window(self, p: float) -> tuple[float, float]:
         """(r_unbiased, r_biased) for equal strengths R and p = sqrt(s1^2 + s2^2).
 
-        With q = p / window_threshold the unbiased and biased optima cross the
-        classical limit where R^3 q = 1 and R^3 q + (1 - R)^3 = 1.
+        With q = p / window_threshold the unbiased optimum is classical_limit R^3 q
+        (2 R^3 p for Mermin) and the biased T-state optimum adds classical_limit
+        (1 - R)^3.  Above r_unbiased, where R^3 q = 1, the unbiased optimum exceeds
+        the classical limit; above the smaller r_biased, where R^3 q + (1 - R)^3 = 1,
+        the biased optimum already does.
         """
         if not p > self.window_threshold:  # also rejects NaN
             raise ValueError(f"window requires sqrt(s1^2+s2^2) > "

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .observables import OPERATORS, MeasurementSetting, half_angle_rows
+from .observables import OPERATORS, MeasurementSetting, angles_in_range, half_angle_rows
 from .pauli import CorrelationDecomposition
 from .reports import Strengths
 from .states import is_tstate
@@ -100,10 +99,10 @@ class SeeSawConfig:
             raise ValueError("max_sweeps must be >= 1")
         angles = self.angle_constraints
         if angles is not None and (len(angles) != 3 or not all(
-                a is None or (isinstance(a, numbers.Real) and math.isfinite(a))
+                a is None or (isinstance(a, numbers.Real) and angles_in_range((a,)))
                 for a in angles)):
             raise ValueError("angle_constraints must be None or three entries, "
-                             "each None or a finite angle")
+                             "each None or an angle in [0, pi]")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Closed-form upper bounds and violation criteria for the Svetlichny operator.
 
-Mirrors the Mermin module, down to which functions take T: the 3x9
-coefficient matrix W pairs with T through the singular-value inequality,
+Mirrors the Mermin module: the 3x9 coefficient matrix W pairs with T
+through the singular-value inequality,
 
     max |<Svetlichny operator>|  <=  s1(T) s1(W) + s2(T) s2(W),
 
 for unbiased observables, and the combinations J+- = s1(W) +- s2(W) have a
 closed form.  Violation of the classical certificate means exceeding 4.
-The bias-only extension on T-states is ``l_max``.
+The bias-only extension on T-states is ``l_max``.  Only
+``svetlichny_bound_equal_strengths`` takes T; the unbiased, six-variant and
+T-state bounds and the biased window are methods of
+``OPERATORS["svetlichny"]``.
 """
 
 from __future__ import annotations
@@ -15,30 +18,22 @@ from __future__ import annotations
 import numpy as np
 
 from .observables import OPERATORS
-from .pauli import CorrelationDecomposition
 from .reports import BoundReport, Strengths
 from .mermin import _degenerate, _root_pair, _swing, _t_svals
 
 __all__ = [
     "build_w_matrix",
     "j_plus_minus",
-    "svetlichny_bound_unbiased",
     "svetlichny_bound_equal_strengths",
     "equal_strength_bound_svetlichny",
     "svetlichny_sufficient_orthogonal",
-    "svetlichny_six_variant_criterion",
     "l_max",
-    "svetlichny_bound_tstate",
-    "svetlichny_biased_window",
     "svetlichny_bound_x_asymmetric",
     "svetlichny_bound_x_asymmetric_best",
     "svetlichny_bound_degenerate_smax",
     "equal_strength_angles_svetlichny",
     "optimal_unbiased_angles_svetlichny",
-    "SVETLICHNY_CLASSICAL_BOUND",
 ]
-
-SVETLICHNY_CLASSICAL_BOUND = OPERATORS["svetlichny"].classical_limit
 
 
 def build_w_matrix(strengths: Strengths, angles) -> np.ndarray:
@@ -70,15 +65,6 @@ def j_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
     base = (j0 + 2.0 * (terms[0] + terms[1] + terms[2])
             - 8.0 * rx * rxp * (ry * ryp * rz * rzp) * np.cos(tx) * np.cos(ty) * np.cos(tz))
     return _root_pair(base, _swing(strengths, tx, ty, tz, 4.0, "J"), "J")
-
-
-def svetlichny_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
-    """Upper bound for unbiased observables; equals s1(T)s1(W) + s2(T)s2(W).
-
-    Attained when a product rotation aligns the top right singular subspace
-    of T with that of W.
-    """
-    return OPERATORS["svetlichny"].unbiased(*_t_svals(t), strengths, angles)
 
 
 def equal_strength_angles_svetlichny(s1: float, s2: float) -> tuple[float, float, float]:
@@ -117,17 +103,7 @@ def svetlichny_sufficient_orthogonal(s1: float, s2: float,
     """Violation certificate at orthogonal relative angles: (value, value > 4),
     with value the unbiased pairing bound at (pi/2, pi/2, pi/2)."""
     value = OPERATORS["svetlichny"].unbiased(s1, s2, strengths, (np.pi / 2,) * 3).bound_value
-    return value, value > SVETLICHNY_CLASSICAL_BOUND
-
-
-def svetlichny_six_variant_criterion(t, strengths: Strengths, angles) -> tuple[float, bool]:
-    """Criterion for violating at least one of the six exchanged operators.
-
-    Absolute-value form of J+- (cross terms only; the triple-cosine term is
-    exchange-invariant and keeps its sign).  Coincides with the base bound
-    for equal per-side strengths.
-    """
-    return OPERATORS["svetlichny"].six_variant(*_t_svals(t), strengths, angles)
+    return value, value > OPERATORS["svetlichny"].classical_limit
 
 
 def l_max(strengths: Strengths) -> float:
@@ -144,22 +120,6 @@ def l_max(strengths: Strengths) -> float:
     c1 = max(abs(p - q), r + s) * big + min(abs(p - q), r + s) * small
     c2 = max(p + q, abs(r - s)) * big + min(p + q, abs(r - s)) * small
     return float(max(c1, c2))
-
-
-def svetlichny_bound_tstate(t, strengths: Strengths, angles,
-                            decomp: CorrelationDecomposition | None = None) -> BoundReport:
-    """Bound for arbitrary observables on a T-state: unbiased part plus l_max."""
-    return OPERATORS["svetlichny"].tstate(*_t_svals(t), strengths, angles, decomp)
-
-
-def svetlichny_biased_window(p: float) -> tuple[float, float]:
-    """Strength window in which only biased observables can violate.
-
-    Requires P = sqrt(s1^2 + s2^2) > sqrt(2).  Returns (r_unbiased, r_biased)
-    with r_unbiased = (sqrt(2)/P)^(1/3) and the biased threshold strictly
-    below it.
-    """
-    return OPERATORS["svetlichny"].biased_window(p)
 
 
 _BRANCHES = ("orthogonal", "mixed", "parallel")

@@ -11,13 +11,11 @@ import numpy as np
 
 from bell3q import (SeeSawConfig, Strengths, ThreeQubitState, decompose,
                     decomposition_from_t, ghz_state, i_plus_minus, j_plus_minus,
-                    k_max, l_max, mermin_biased_window, mermin_bound_equal_strengths,
-                    mermin_bound_unbiased, mermin_expectation, see_saw_maximize,
-                    svetlichny_biased_window, svetlichny_bound_equal_strengths,
-                    svetlichny_bound_unbiased, svetlichny_expectation,
-                    white_noise_mix)
-from bell3q.mermin import build_v_matrix, equal_strength_angles
-from bell3q.observables import GeneralObservable, MeasurementSetting
+                    k_max, l_max, mermin_bound_equal_strengths, mermin_bound_unbiased,
+                    mermin_expectation, see_saw_maximize, svetlichny_bound_equal_strengths,
+                    svetlichny_expectation, white_noise_mix)
+from bell3q.mermin import _t_svals, build_v_matrix, equal_strength_angles
+from bell3q.observables import OPERATORS, GeneralObservable, MeasurementSetting
 from bell3q.suites import saturable_tensor
 from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 
@@ -125,10 +123,10 @@ def test_criterion_4_kmax_lmax_brute_force():
 def test_criterion_5_biased_only_windows():
     start = time.perf_counter()
     p = 2.0
-    ru_m, rb_m = mermin_biased_window(p)
+    ru_m, rb_m = OPERATORS["mermin"].biased_window(p)
     dev_m = max(abs(ru_m - 2.0 ** (-1 / 3)), abs(rb_m - (-3 + np.sqrt(21)) / 2))
 
-    ru_s, rb_s = svetlichny_biased_window(p)
+    ru_s, rb_s = OPERATORS["svetlichny"].biased_window(p)
     rb_s_closed = (-3 + np.sqrt(3) * np.sqrt(2 * ROOT2 * p - 1)) / (ROOT2 * (p - ROOT2))
     dev_s = max(abs(ru_s - 2.0 ** (-1 / 6)), abs(rb_s - rb_s_closed))
     # both biased thresholds must be exact roots of their defining equations
@@ -197,7 +195,8 @@ def test_criterion_7_soundness_sweep():
         st = Strengths.from_iterable(setting.strengths_array)
         angles = setting.relative_angles
         m_bound = mermin_bound_unbiased(d.t_matrix, st, angles).bound_value
-        s_bound = svetlichny_bound_unbiased(d.t_matrix, st, angles).bound_value
+        s_bound = OPERATORS["svetlichny"].unbiased(*_t_svals(d.t_matrix), st,
+                                                   angles).bound_value
         worst = max(worst,
                     abs(mermin_expectation(d, setting)) - m_bound,
                     abs(svetlichny_expectation(d, setting)) - s_bound)
@@ -245,8 +244,9 @@ def test_criterion_9_local_unitary_invariance():
         worst = max(worst,
                     abs(mermin_bound_unbiased(t_a, st, ang).bound_value
                         - mermin_bound_unbiased(t_b, st, ang).bound_value),
-                    abs(svetlichny_bound_unbiased(t_a, st, ang).bound_value
-                        - svetlichny_bound_unbiased(t_b, st, ang).bound_value))
+                    abs(OPERATORS["svetlichny"].unbiased(*_t_svals(t_a), st, ang).bound_value
+                        - OPERATORS["svetlichny"].unbiased(*_t_svals(t_b), st,
+                                                           ang).bound_value))
     elapsed = time.perf_counter() - start
     report(9, worst < 1e-9,
            f"local-unitary invariance on 100 states: max bound shift {worst:.2e} "

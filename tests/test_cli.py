@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from bell3q import (Strengths, build, decompose, ghz_state, mermin, mermin_bound_degenerate_smax,
-                    mermin_bound_equal_strengths, mermin_bound_tstate, mermin_bound_unbiased,
-                    mermin_bound_x_asymmetric, mermin_six_variant_criterion,
-                    mermin_sufficient_orthogonal, parse_state_spec,
+                    mermin_bound_equal_strengths, mermin_bound_unbiased,
+                    mermin_bound_x_asymmetric, mermin_sufficient_orthogonal, parse_state_spec,
                     svetlichny_bound_degenerate_smax, svetlichny_bound_equal_strengths,
-                    svetlichny_bound_tstate, svetlichny_bound_unbiased,
-                    svetlichny_six_variant_criterion, svetlichny_sufficient_orthogonal)
+                    svetlichny_sufficient_orthogonal)
 from bell3q import SeeSawConfig, cli
 from bell3q.cli import CRITERION_NAMES, main
 from bell3q.mermin import _t_svals
+from bell3q.observables import OPERATORS
 from bell3q.svetlichny import svetlichny_bound_x_asymmetric_best
 
 GHZ_TENSOR_27 = ",".join(str(x) for x in
@@ -120,6 +119,11 @@ class TestBound:
         code, _, err = run(["bound", "--state", "ghz", "--angles", "9,0,0"], capsys)
         assert code == 2 and "angles" in err
 
+    def test_pi_with_its_slack_is_an_angle(self, capsys):
+        code, _, _ = run(["bound", "--state", "ghz", "--angles", f"{np.pi + 5e-13!r},1,1"],
+                         capsys)
+        assert code == 0
+
     def test_incompatible_criterion_exit_3(self, capsys):
         code, _, err = run(["bound", "--state", "ghz",
                             "--criteria", "tstate_general"], capsys)
@@ -181,8 +185,8 @@ class TestBound:
         assert code == 0
         report = next(r for r in json.loads(out)["reports"]
                       if r["criterion"].startswith("svetlichny_x_asymmetric"))
-        achieved = svetlichny_bound_unbiased(decompose(ghz_state()).t_tensor,
-                                             Strengths.uniform(1.0), report["angles"])
+        achieved = OPERATORS["svetlichny"].unbiased(*_t_svals(decompose(ghz_state()).t_tensor),
+                                                    Strengths.uniform(1.0), report["angles"])
         assert abs(achieved.bound_value - report["bound"]) < 1e-12 * report["bound"]
 
 
@@ -192,9 +196,8 @@ class TestBound:
         ("ghz", "0.9,0.6,0.8,0.8,0.7,0.7"),
     ])
     def test_rows_equal_the_library_functions(self, state, strengths, capsys):
-        """The CLI evaluates these rows from the state's (s1, s2); the public
-        unbiased, equal-strength, six-variant and T-state functions take T and
-        find the spectrum themselves."""
+        """The CLI evaluates these rows from the state's (s1, s2) once; here each
+        library call finds the spectrum from T itself."""
         code, out, _ = run(["bound", "--state", state, "--strengths", strengths,
                             "--operator", "both"], capsys)
         assert code == 0
@@ -213,22 +216,26 @@ class TestBound:
                     lambda a: mermin_bound_equal_strengths(t, st.rx, st.ry, st.rz).bound_value,
                 "orthogonal_sufficient":
                     lambda a: mermin_sufficient_orthogonal(*_t_svals(t), st)[0],
-                "six_variant": lambda a: mermin_six_variant_criterion(t, st, a)[0],
-                "tstate_general": lambda a: mermin_bound_tstate(t, st, a).bound_value,
+                "six_variant": lambda a: OPERATORS["mermin"].six_variant(*_t_svals(t), st, a)[0],
+                "tstate_general":
+                    lambda a: OPERATORS["mermin"].tstate(*_t_svals(t), st, a).bound_value,
                 "x_asymmetric":
                     lambda a: mermin_bound_x_asymmetric(*x_args, tstate=tstate).bound_value,
                 "degenerate_smax":
                     lambda a: mermin_bound_degenerate_smax(st, s1, tstate=tstate).bound_value,
             },
             "svetlichny": {
-                "unbiased_general": lambda a: svetlichny_bound_unbiased(t, st, a).bound_value,
+                "unbiased_general":
+                    lambda a: OPERATORS["svetlichny"].unbiased(*_t_svals(t), st, a).bound_value,
                 "equal_strengths":
                     lambda a: svetlichny_bound_equal_strengths(t, st.rx, st.ry,
                                                                st.rz).bound_value,
                 "orthogonal_sufficient":
                     lambda a: svetlichny_sufficient_orthogonal(*_t_svals(t), st)[0],
-                "six_variant": lambda a: svetlichny_six_variant_criterion(t, st, a)[0],
-                "tstate_general": lambda a: svetlichny_bound_tstate(t, st, a).bound_value,
+                "six_variant":
+                    lambda a: OPERATORS["svetlichny"].six_variant(*_t_svals(t), st, a)[0],
+                "tstate_general":
+                    lambda a: OPERATORS["svetlichny"].tstate(*_t_svals(t), st, a).bound_value,
                 "x_asymmetric":
                     lambda a: svetlichny_bound_x_asymmetric_best(*x_args,
                                                                  tstate=tstate).bound_value,

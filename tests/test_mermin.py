@@ -7,12 +7,13 @@ import pytest
 
 from bell3q import (SeeSawConfig, Strengths, bias_optimize, build_v_matrix, decompose,
                     decomposition_from_t, ghz_state, i_plus_minus, k_max,
-                    mermin_biased_window, mermin_bound_degenerate_smax,
-                    mermin_bound_equal_strengths, mermin_bound_tstate,
+                    mermin_bound_degenerate_smax, mermin_bound_equal_strengths,
                     mermin_bound_unbiased, mermin_bound_x_asymmetric,
-                    mermin_six_variant_criterion, mermin_sufficient_orthogonal)
+                    mermin_sufficient_orthogonal)
 from bell3q.mermin import _i_coefficients, _t_svals
+from bell3q.observables import OPERATORS
 
+MERMIN = OPERATORS["mermin"]
 ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
 
 
@@ -202,12 +203,12 @@ class TestSixVariant:
             t = random_t(rng)
             st = Strengths.equal(*rng.uniform(0, 1, 3))
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = mermin_six_variant_criterion(t, st, ang)
+            tilde, _ = MERMIN.six_variant(*_t_svals(t), st, ang)
             assert abs(tilde - bound_at(t, st, ang)) < 1e-12
 
     def test_zero(self):
-        value, violated = mermin_six_variant_criterion(
-            ghz_t(), Strengths.uniform(0.0), ORTH)
+        value, violated = MERMIN.six_variant(
+            *_t_svals(ghz_t()), Strengths.uniform(0.0), ORTH)
         assert value == 0.0 and not violated
 
     def test_dominates_base_bound(self):
@@ -216,7 +217,7 @@ class TestSixVariant:
             t = random_t(rng)
             st = random_strengths(rng)
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = mermin_six_variant_criterion(t, st, ang)
+            tilde, _ = MERMIN.six_variant(*_t_svals(t), st, ang)
             assert tilde >= bound_at(t, st, ang) - 1e-12
 
     def test_dominates_exchanged_operator_values(self):
@@ -239,8 +240,8 @@ class TestSixVariant:
                     obs.append(GeneralObservable(0.0, r[party], direction))
             setting = MeasurementSetting(*obs)
             st = Strengths.equal(*r)
-            tilde, _ = mermin_six_variant_criterion(
-                d.t_matrix, st, setting.relative_angles)
+            tilde, _ = MERMIN.six_variant(
+                *_t_svals(d.t_matrix), st, setting.relative_angles)
             values = variant_expectations(d, setting, "mermin")
             assert max(abs(v) for v in values) <= tilde + 1e-9
 
@@ -281,57 +282,57 @@ class TestKMax:
 class TestTstateBound:
     def test_unit_strengths_reduce_to_unbiased(self):
         st = Strengths.uniform(1.0)
-        a = mermin_bound_tstate(ghz_t(), st, ORTH).bound_value
+        a = MERMIN.tstate(*_t_svals(ghz_t()), st, ORTH).bound_value
         b = bound_at(ghz_t(), st, ORTH)
         assert a == b
 
     def test_zero_strengths_exactly_two(self):
         st = Strengths.uniform(0.0)
-        assert mermin_bound_tstate(ghz_t(), st, ORTH).bound_value == 2.0
+        assert MERMIN.tstate(*_t_svals(ghz_t()), st, ORTH).bound_value == 2.0
 
     def test_equal_strength_value(self):
         # tensor with s1 = s2 = sqrt(2): optimum 2 r^3 * 2 + 2 (1-r)^3
         r = 0.9
         st = Strengths.uniform(r)
-        value = mermin_bound_tstate(ghz_t(), st, ORTH).bound_value
+        value = MERMIN.tstate(*_t_svals(ghz_t()), st, ORTH).bound_value
         assert abs(value - (2 * r**3 * 2 + 2 * (1 - r) ** 3)) < 1e-12
         assert abs(value - 2.918) < 1e-12
 
     def test_rejects_non_tstate_decomposition(self):
         d = decompose(ghz_state())
         with pytest.raises(ValueError, match="T-state"):
-            mermin_bound_tstate(ghz_t(), Strengths.uniform(0.5), ORTH, decomp=d)
+            MERMIN.tstate(*_t_svals(ghz_t()), Strengths.uniform(0.5), ORTH, decomp=d)
 
 
 class TestBiasedWindow:
     def test_ghz_values(self):
-        ru, rb = mermin_biased_window(2.0)
+        ru, rb = MERMIN.biased_window(2.0)
         assert abs(ru - 2.0 ** (-1.0 / 3.0)) < 1e-12
         assert abs(rb - (-3.0 + np.sqrt(21.0)) / 2.0) < 1e-12
         assert rb < ru
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
-            mermin_biased_window(1.0)
+            MERMIN.biased_window(1.0)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="window requires"):
-            mermin_biased_window(float("nan"))
+            MERMIN.biased_window(float("nan"))
 
     def test_sqrt2(self):
-        ru, rb = mermin_biased_window(np.sqrt(2.0))
+        ru, rb = MERMIN.biased_window(np.sqrt(2.0))
         assert abs(ru - 2.0 ** (-1.0 / 6.0)) < 1e-12
         assert rb < ru
 
     def test_thresholds_are_exact_roots(self):
         for p in (1.3, 2.0, 2.5):
-            ru, rb = mermin_biased_window(p)
+            ru, rb = MERMIN.biased_window(p)
             assert abs(2 * p * ru**3 - 2.0) < 1e-10
             assert abs(2 * p * rb**3 + 2 * (1 - rb) ** 3 - 2.0) < 1e-10
 
     def test_window_property(self):
         for p in (1.5, 2.0):
-            ru, rb = mermin_biased_window(p)
+            ru, rb = MERMIN.biased_window(p)
             for r in np.linspace(rb + 1e-6, ru, 7):
                 assert 2 * r**3 * p <= 2.0 + 1e-9
                 assert 2 * r**3 * p + 2 * (1 - r) ** 3 > 2.0

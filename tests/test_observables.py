@@ -317,6 +317,32 @@ class TestSeededAngleSearch:
             assert value == pytest.approx(exact, rel=1e-12), seed
 
 
+class TestAngleRange:
+    """The shared bounds take relative angles in [0, pi] only: outside it the
+    I+-/J+- closed forms return P and M swapped, a value below the pairing."""
+
+    ST = Strengths(0.9, 0.7, 0.8, 0.6, 0.95, 0.5)
+
+    @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("tx", [4.0, -1.0])
+    def test_x_angle_outside_is_rejected(self, operator, tx):
+        op = OPERATORS[operator]
+        for method in (op.unbiased, op.six_variant, op.tstate):
+            with pytest.raises(ValueError, match=r"relative angles must lie in \[0, pi\]"):
+                method(0.8, 0.5, self.ST, (tx, 1.2, 0.7))
+
+    @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
+    def test_pi_with_its_slack_is_accepted(self, operator):
+        op = OPERATORS[operator]
+        angles = (np.pi + 5e-13, 1.2, 0.7)
+        value = op.pair_bound(0.8, 0.5, self.ST, angles)
+        assert op.unbiased(0.8, 0.5, self.ST, angles).bound_value == value
+        assert (op.tstate(0.8, 0.5, self.ST, angles).bound_value
+                == value + op.closed_form("bias_max")(self.ST))
+        assert (op.six_variant(0.8, 0.5, self.ST, angles)[0]
+                == op.pair_bound(0.8, 0.5, self.ST, angles, absolute=True))
+
+
 class TestBiasedWindow:
     @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
     @pytest.mark.parametrize("u", [-8.0, -6.5, -5.0, -3.0, -1.0, None])

@@ -7,10 +7,9 @@ import pytest
 
 from bell3q import (CorrelationDecomposition, SeeSawConfig, Strengths, ThreeQubitState,
                     bias_optimize, decompose, decomposition_from_t, ghz_state,
-                    mermin_biased_window, mermin_bound_equal_strengths, mermin_bound_unbiased,
-                    mermin_expectation, see_saw_maximize, svetlichny_bound_equal_strengths,
-                    svetlichny_bound_unbiased, svetlichny_expectation)
-from bell3q.mermin import build_v_matrix, equal_strength_angles
+                    mermin_bound_equal_strengths, mermin_bound_unbiased, mermin_expectation,
+                    see_saw_maximize, svetlichny_bound_equal_strengths, svetlichny_expectation)
+from bell3q.mermin import _t_svals, build_v_matrix, equal_strength_angles
 from bell3q.observables import OPERATORS
 from bell3q.oracle import (_Objective, _initial_directions, _newton_step, _rotate,
                            _rotation_coordinates, _run_seesaw, _tied_rotations, _update_pair)
@@ -133,13 +132,15 @@ class TestSeeSaw:
             SeeSawConfig(convergence_tol=float("nan"))
 
     @pytest.mark.parametrize("angles", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (np.nan, 1.0, 1.0),
-                                        (1.0, None, np.inf), ("1", None, None)])
+                                        (1.0, None, np.inf), ("1", None, None),
+                                        (4.0, None, None), (None, -1.0, None)])
     def test_bad_angle_constraints_are_rejected(self, angles):
         with pytest.raises(ValueError, match="angle_constraints"):
             SeeSawConfig(angle_constraints=angles)
 
     @pytest.mark.parametrize("angles", [None, (None, None, None),
-                                        (0, np.float64(1.5), np.pi)])
+                                        (0, np.float64(1.5), np.pi),
+                                        (np.pi + 5e-13, None, None)])
     def test_good_angle_constraints_are_kept(self, angles):
         assert SeeSawConfig(angle_constraints=angles).angle_constraints == angles
 
@@ -542,7 +543,7 @@ class TestBiasOptimize:
     def test_biased_only_window(self):
         # inside the window, biased observables violate while unbiased cannot
         d = decomposition_from_t(ghz_t3())
-        ru, rb = mermin_biased_window(2.0)
+        ru, rb = OPERATORS["mermin"].biased_window(2.0)
         mid = 0.5 * (ru + rb)
         st = Strengths.uniform(mid)
         cfg = SeeSawConfig(restarts=12, seed=12)
@@ -553,16 +554,13 @@ class TestBiasOptimize:
         assert abs(biased.value - (2 * mid**3 * 2 + 2 * (1 - mid) ** 3)) < 1e-6
 
 
-PAIRING_BOUNDS = {"mermin": mermin_bound_unbiased, "svetlichny": svetlichny_bound_unbiased}
-
-
 def pairing_residual(t, strengths, angles, kind):
     """(residual, setting): the unbiased pairing bound at ``angles`` minus the
     angle-constrained see-saw's value, relative to max(1, bound).
 
     Near-degenerate spectra climb slowly, hence the 1000-sweep cap.
     """
-    target = PAIRING_BOUNDS[kind](t, strengths, angles).bound_value
+    target = OPERATORS[kind].unbiased(*_t_svals(t), strengths, angles).bound_value
     config = SeeSawConfig(max_sweeps=1000, seed=0x5EED, angle_constraints=tuple(angles))
     result = see_saw_maximize(decomposition_from_t(t), strengths,
                               np.zeros(6), kind, config)

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from bell3q import (Strengths, build_w_matrix, j_plus_minus, l_max,
-                    svetlichny_biased_window, svetlichny_bound_degenerate_smax,
-                    svetlichny_bound_equal_strengths, svetlichny_bound_tstate,
-                    svetlichny_bound_unbiased, svetlichny_bound_x_asymmetric,
-                    svetlichny_six_variant_criterion,
-                    svetlichny_sufficient_orthogonal)
+                    svetlichny_bound_degenerate_smax, svetlichny_bound_equal_strengths,
+                    svetlichny_bound_x_asymmetric, svetlichny_sufficient_orthogonal)
 from bell3q.mermin import _degenerate, _t_svals
+from bell3q.observables import OPERATORS
 from bell3q.svetlichny import (equal_strength_angles_svetlichny,
                                svetlichny_bound_x_asymmetric_best)
 
+SVETLICHNY = OPERATORS["svetlichny"]
 ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
 ROOT2 = np.sqrt(2.0)
 
@@ -36,7 +35,7 @@ def random_t(rng, top=1.0):
 
 
 def bound_at(t, strengths, angles):
-    return svetlichny_bound_unbiased(t, strengths, angles).bound_value
+    return SVETLICHNY.unbiased(*_t_svals(t), strengths, angles).bound_value
 
 
 class TestWMatrix:
@@ -196,12 +195,12 @@ class TestSixVariant:
             t = random_t(rng)
             st = Strengths.equal(*rng.uniform(0, 1, 3))
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = svetlichny_six_variant_criterion(t, st, ang)
+            tilde, _ = SVETLICHNY.six_variant(*_t_svals(t), st, ang)
             assert abs(tilde - bound_at(t, st, ang)) < 1e-12
 
     def test_zero(self):
-        value, violated = svetlichny_six_variant_criterion(
-            ghz_t(), Strengths.uniform(0.0), ORTH)
+        value, violated = SVETLICHNY.six_variant(
+            *_t_svals(ghz_t()), Strengths.uniform(0.0), ORTH)
         assert value == 0.0 and not violated
 
     def test_dominates_base_bound(self):
@@ -210,7 +209,7 @@ class TestSixVariant:
             t = random_t(rng)
             st = random_strengths(rng)
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = svetlichny_six_variant_criterion(t, st, ang)
+            tilde, _ = SVETLICHNY.six_variant(*_t_svals(t), st, ang)
             assert tilde >= bound_at(t, st, ang) - 1e-12
 
 
@@ -250,29 +249,29 @@ class TestLMax:
 class TestTstateBound:
     def test_unit_strengths_reduce_to_unbiased(self):
         st = Strengths.uniform(1.0)
-        assert (svetlichny_bound_tstate(ghz_t(), st, ORTH).bound_value
+        assert (SVETLICHNY.tstate(*_t_svals(ghz_t()), st, ORTH).bound_value
                 == bound_at(ghz_t(), st, ORTH))
 
     def test_zero_strengths_exactly_four(self):
         st = Strengths.uniform(0.0)
-        assert svetlichny_bound_tstate(ghz_t(), st, ORTH).bound_value == 4.0
+        assert SVETLICHNY.tstate(*_t_svals(ghz_t()), st, ORTH).bound_value == 4.0
 
     def test_equal_strength_value(self):
         r = 0.95
         st = Strengths.uniform(r)
-        value = svetlichny_bound_tstate(ghz_t(), st, ORTH).bound_value
+        value = SVETLICHNY.tstate(*_t_svals(ghz_t()), st, ORTH).bound_value
         assert abs(value - (2 * ROOT2 * r**3 * 2 + 4 * (1 - r) ** 3)) < 1e-12
 
     def test_rejects_non_tstate_decomposition(self):
         from bell3q import decompose, ghz_state
         with pytest.raises(ValueError, match="T-state"):
-            svetlichny_bound_tstate(ghz_t(), Strengths.uniform(0.5), ORTH,
-                                    decomp=decompose(ghz_state()))
+            SVETLICHNY.tstate(*_t_svals(ghz_t()), Strengths.uniform(0.5), ORTH,
+                      decomp=decompose(ghz_state()))
 
 
 class TestBiasedWindow:
     def test_ghz_values(self):
-        ru, rb = svetlichny_biased_window(2.0)
+        ru, rb = SVETLICHNY.biased_window(2.0)
         assert abs(ru - 2.0 ** (-1.0 / 6.0)) < 1e-12
         expected_rb = (-3.0 + np.sqrt(3.0) * np.sqrt(2.0 * ROOT2 * 2.0 - 1.0)) \
             / (ROOT2 * (2.0 - ROOT2))
@@ -281,25 +280,25 @@ class TestBiasedWindow:
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
-            svetlichny_biased_window(ROOT2)
+            SVETLICHNY.biased_window(ROOT2)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="window requires"):
-            svetlichny_biased_window(float("nan"))
+            SVETLICHNY.biased_window(float("nan"))
 
     def test_p_one_point_five(self):
-        ru, rb = svetlichny_biased_window(1.5)
+        ru, rb = SVETLICHNY.biased_window(1.5)
         assert rb < ru
 
     def test_thresholds_are_exact_roots(self):
         for p in (1.5, 2.0, 3.0):
-            ru, rb = svetlichny_biased_window(p)
+            ru, rb = SVETLICHNY.biased_window(p)
             assert abs(2 * ROOT2 * p * ru**3 - 4.0) < 1e-10
             assert abs(2 * ROOT2 * p * rb**3 + 4 * (1 - rb) ** 3 - 4.0) < 1e-10
 
     def test_window_property(self):
         for p in (1.5, 2.0):
-            ru, rb = svetlichny_biased_window(p)
+            ru, rb = SVETLICHNY.biased_window(p)
             mid = 0.5 * (rb + ru)
             assert 2 * ROOT2 * mid**3 * p <= 4.0
             assert 2 * ROOT2 * mid**3 * p + 4 * (1 - mid) ** 3 > 4.0
