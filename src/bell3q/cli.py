@@ -10,9 +10,10 @@ Subcommands:
 
 States are given in a mini-grammar: ``ghz``, ``gghz:<theta>``, ``w``,
 ``mix:<spec>:<v>``, ``tstate:<9 or 27 comma floats>``, ``random:<seed>``.
-A ``tstate`` spec is evaluated at the coefficient level, so correlation
-tensors whose bare T-state operator is unphysical can still be scanned for
-their bound values; the report carries the physicality flag.
+A ``tstate`` spec, bare or inside ``mix:``, is evaluated at the coefficient
+level, so correlation tensors whose bare T-state operator is unphysical can
+still be scanned for their bound values; the report carries the physicality
+flag.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 criterion/state incompatibility.
@@ -67,7 +68,9 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
 
 def _state_context(spec: StateSpec):
     """Decomposition, physicality info, T-state flag and (s1, s2) of T, computed
-    once per state; tstate specs stay coefficient-level."""
+    once per state; tstate specs, and white-noise mixes of one, stay coefficient-level."""
+    if spec.kind == "mix" and spec.base.kind == "tstate":  # noise scales T by v, marginals stay 0
+        spec = replace(spec.base, t_tensor=tuple(spec.visibility * np.array(spec.base.t_tensor)))
     if spec.kind == "tstate":
         decomp = decomposition_from_t(np.asarray(spec.t_tensor).reshape(3, 3, 3))
         rebuilt = reconstruct(decomp)

@@ -101,21 +101,12 @@ def _root_pair(base, swing, letter: str):
     return plus, minus
 
 
-def i_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
-    """(s1(V) + s2(V), s1(V) - s2(V)) in closed form.
-
-    Angles may be scalars or broadcastable arrays.  With ``absolute=True``
-    the three angle-cosine cross terms enter with absolute value, which is
-    the form the any-of-six-variants criterion uses.
-    """
+def i_plus_minus(strengths: Strengths, angles):
+    """(s1(V) + s2(V), s1(V) - s2(V)) in closed form; angles broadcastable."""
     tx, ty, tz = (np.asarray(a, dtype=float) for a in angles)
     i0, ixy_z, ixz_y, iyz_x = _i_coefficients(strengths)
-    terms = (ixy_z * np.cos(tx) * np.cos(ty),
-             ixz_y * np.cos(tx) * np.cos(tz),
-             iyz_x * np.cos(ty) * np.cos(tz))
-    if absolute:
-        terms = tuple(np.abs(term) for term in terms)
-    base = i0 + 2.0 * (terms[0] + terms[1] + terms[2])
+    base = i0 + 2.0 * (ixy_z * np.cos(tx) * np.cos(ty) + ixz_y * np.cos(tx) * np.cos(tz)
+                       + iyz_x * np.cos(ty) * np.cos(tz))
     return _root_pair(base, _swing(strengths, tx, ty, tz, 2.0, "I"), "I")
 
 

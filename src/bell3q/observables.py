@@ -22,7 +22,7 @@ from importlib import import_module
 import numpy as np
 
 from .pauli import CorrelationDecomposition
-from .reports import BoundReport
+from .reports import BoundReport, Strengths
 from .states import is_tstate
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "Operator",
     "OPERATORS",
     "VARIANT_SWAPS",
+    "exchange_order",
     "half_angle_rows",
     "angles_in_range",
 ]
@@ -126,16 +127,18 @@ class MeasurementSetting:
 
     def swapped(self, pattern: tuple[int, int, int]) -> "MeasurementSetting":
         """Exchange primed and unprimed observables on the flagged parties."""
-        x, xp = (self.x_prime, self.x) if pattern[0] else (self.x, self.x_prime)
-        y, yp = (self.y_prime, self.y) if pattern[1] else (self.y, self.y_prime)
-        z, zp = (self.z_prime, self.z) if pattern[2] else (self.z, self.z_prime)
-        return MeasurementSetting(x, xp, y, yp, z, zp)
+        return MeasurementSetting(*(self.observables[i] for i in exchange_order(pattern)))
 
     @property
     def homogeneous(self) -> np.ndarray:
         """(3, 2, 4): per party, the (B, R n) vectors of the unprimed and primed
         observable."""
         return np.stack([o.homogeneous for o in self.observables]).reshape(3, 2, 4)
+
+
+def exchange_order(pattern) -> tuple[int, ...]:
+    """Slots of (X, X', Y, Y', Z, Z') once the flagged parties' pairs are exchanged."""
+    return tuple(2 * party + (k ^ flag) for party, flag in enumerate(pattern) for k in (0, 1))
 
 
 def half_angle_rows(theta) -> np.ndarray:
@@ -202,10 +205,10 @@ class Operator:
         u, v, w = (r[p] * half_angle_rows(theta) for p, theta in enumerate(angles))
         return np.einsum("abc,ai,bj,ck->ijk", self.signs, u, v, w).reshape(3, 9)
 
-    def pair_bound(self, s1, s2, strengths, angles, *, absolute: bool = False):
+    def pair_bound(self, s1, s2, strengths, angles):
         """0.5(s1+s2) P + 0.5(s1-s2) M = s1 s1(C) + s2 s2(C), with (P, M) the
         ``plus_minus`` closed form; angles may be broadcastable arrays."""
-        plus, minus = self.closed_form("plus_minus")(strengths, angles, absolute=absolute)
+        plus, minus = self.closed_form("plus_minus")(strengths, angles)
         return 0.5 * (s1 + s2) * plus + 0.5 * (s1 - s2) * minus
 
     def unbiased(self, s1, s2, strengths, angles) -> BoundReport:
@@ -217,13 +220,17 @@ class Operator:
                            achieving_angles=tuple(float(a) for a in angles))
 
     def six_variant(self, s1, s2, strengths, angles) -> tuple[float, bool]:
-        """(value, value > classical limit), value the pairing bound with each
-        angle-cosine cross term at absolute value (Svetlichny's triple-cosine term
-        keeps its sign); it equals ``unbiased`` at equal per-side strengths.  A
-        criterion for the six ``VARIANT_SWAPS`` operators, not a bound on each: at
-        unequal strengths on all three parties a Mermin variant can exceed it."""
+        """(value, value > classical limit), value the largest ``pair_bound`` of the
+        operator and its six ``VARIANT_SWAPS`` variants, so a bound on each at these
+        angles: exchanging a party's pair reflects its half-angle rows, which keeps
+        s(C), so a variant's bound is ``pair_bound`` at that party's strengths
+        exchanged.  At equal per-side strengths it is one call, equal to ``unbiased``."""
         _require_angles(angles)
-        value = float(self.pair_bound(s1, s2, strengths, angles, absolute=True))
+        st = strengths
+        value = float(self.pair_bound(s1, s2, st, angles))
+        for order in _EXCHANGES[st.rx != st.rxp, st.ry != st.ryp, st.rz != st.rzp]:
+            exchanged = Strengths(*st.as_array()[order])
+            value = max(value, float(self.pair_bound(s1, s2, exchanged, angles)))
         return value, value > self.classical_limit
 
     def tstate(self, s1, s2, strengths, angles, decomp=None) -> BoundReport:
@@ -349,6 +356,11 @@ OPERATORS = _OperatorLookup(
 # base operator and the all-party exchange its partner combination, so the
 # six patterns below are the distinct new operators the exchanges generate.
 VARIANT_SWAPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+# Operator.six_variant: keyed by which parties' two strengths differ, the slot orders of the
+# patterns that flag only such parties; any other repeats the identity's or a listed one's.
+_EXCHANGES = {moved: [list(exchange_order(p)) for p in VARIANT_SWAPS
+                      if all(m or not f for f, m in zip(p, moved))]
+              for moved in np.ndindex(2, 2, 2)}
 
 
 def triple_expectation(decomp: CorrelationDecomposition,

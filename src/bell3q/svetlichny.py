@@ -54,15 +54,12 @@ def _j_coefficients(s: Strengths):
     return j0, jyz_x, jxz_y, jxy_z
 
 
-def j_plus_minus(strengths: Strengths, angles, *, absolute: bool = False):
+def j_plus_minus(strengths: Strengths, angles):
     """(s1(W) + s2(W), s1(W) - s2(W)) in closed form; angles broadcastable."""
     tx, ty, tz = (np.asarray(a, dtype=float) for a in angles)
     j0, jyz_x, jxz_y, jxy_z = _j_coefficients(strengths)
     rx, rxp, ry, ryp, rz, rzp = strengths.as_array()
-    terms = (jyz_x * np.cos(tx), jxz_y * np.cos(ty), jxy_z * np.cos(tz))
-    if absolute:
-        terms = tuple(np.abs(term) for term in terms)
-    base = (j0 + 2.0 * (terms[0] + terms[1] + terms[2])
+    base = (j0 + 2.0 * (jyz_x * np.cos(tx) + jxz_y * np.cos(ty) + jxy_z * np.cos(tz))
             - 8.0 * rx * rxp * (ry * ryp * rz * rzp) * np.cos(tx) * np.cos(ty) * np.cos(tz))
     return _root_pair(base, _swing(strengths, tx, ty, tz, 4.0, "J"), "J")
 

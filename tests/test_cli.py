@@ -386,6 +386,28 @@ class TestScan:
                 for name, bound in zip(names, bounds):
                     assert row[f"{operator}_{name}"] == bound, (axis, operator, name)
 
+    def test_visibility_axis_keeps_a_tstate_at_the_coefficient_level(self, capsys):
+        """White noise scales T by the visibility, so a tensor whose T-state operator
+        is not positive scans like any other tstate spec; at v = 1 it is the spec."""
+        state = "tstate:1,0,0,0,1,0,0,0,1"
+        code, out, err = run(["scan", "--state", state, "--operator", "both",
+                              "--scan-axis", "visibility", "--range", "0,1,3"], capsys)
+        assert code == 0, err
+        row = json.loads(out)["rows"][-1]
+        code, out, _ = run(["bound", "--state", state, "--operator", "both"], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        for operator in ("mermin", "svetlichny"):
+            names = [n for n in CRITERION_NAMES if f"{operator}_{n}" in row]
+            bounds = [r["bound"] for r in reports if r["operator"] == operator
+                      and not r["criterion"].endswith("_tightest_applicable")]
+            assert len(names) == len(bounds) > 1, operator
+            for name, bound in zip(names, bounds):
+                assert row[f"{operator}_{name}"] == bound, (operator, name)
+        code, _, err = run(["scan", "--state", state, "--scan-axis", "visibility",
+                            "--range", "0,1.5,2"], capsys)
+        assert code == 2 and "visibility must lie in [0, 1]" in err
+
     def test_window_flip_on_ghz_tensor(self, capsys):
         code, out, _ = run(["scan", "--state", f"tstate:{GHZ_TENSOR_27}",
                             "--operator", "mermin", "--scan-axis", "strength_all",

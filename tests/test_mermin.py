@@ -220,30 +220,37 @@ class TestSixVariant:
             tilde, _ = MERMIN.six_variant(*_t_svals(t), st, ang)
             assert tilde >= bound_at(t, st, ang) - 1e-12
 
-    def test_dominates_exchanged_operator_values(self):
-        # equal per-side strengths: every exchanged-operator expectation at
-        # the setting's angles stays below the criterion value
-        from bell3q import (ThreeQubitState, decompose, variant_expectations)
+    def test_dominates_exchanged_operator_values(self, held_variant_values):
+        # unequal strengths on every party: each exchanged operator's value at
+        # random settings, and at the settings a see-saw held at their angles
+        # reaches, stays below the criterion at those angles
+        from bell3q import (ThreeQubitState, decompose, random_state, variant_expectations)
         from bell3q.observables import GeneralObservable, MeasurementSetting
 
         rng = np.random.default_rng(11)
-        for _ in range(30):
+        for trial in range(30):
             g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             rho = g @ g.conj().T
             d = decompose(ThreeQubitState(rho / rho.trace().real))
-            r = rng.uniform(0.1, 1, 3)
+            r = rng.uniform(0.1, 1, 6)
             obs = []
-            for party in range(3):
-                for _ in range(2):
-                    direction = rng.normal(size=3)
-                    direction /= np.linalg.norm(direction)
-                    obs.append(GeneralObservable(0.0, r[party], direction))
+            for strength in r:
+                direction = rng.normal(size=3)
+                direction /= np.linalg.norm(direction)
+                obs.append(GeneralObservable(0.0, strength, direction))
             setting = MeasurementSetting(*obs)
-            st = Strengths.equal(*r)
-            tilde, _ = MERMIN.six_variant(
-                *_t_svals(d.t_matrix), st, setting.relative_angles)
-            values = variant_expectations(d, setting, "mermin")
-            assert max(abs(v) for v in values) <= tilde + 1e-9
+            st, angles = Strengths.from_iterable(r), setting.relative_angles
+            tilde, _ = MERMIN.six_variant(*_t_svals(d.t_matrix), st, angles)
+            values = [abs(v) for v in variant_expectations(d, setting, "mermin")]
+            if trial < 3:
+                values += held_variant_values(d, st, "mermin", angles)
+            assert max(values) <= tilde + 1e-9
+        # with the angle-cosine cross terms at absolute value the criterion was
+        # 0.0712 here, below the 0.0906 that the held see-saw reaches
+        d = decompose(random_state(79))
+        st, angles = Strengths(0.7, 0.21, 0.37, 0.16, 0.64, 0.17), (0.72, 1.41, 1.42)
+        tilde, _ = MERMIN.six_variant(*_t_svals(d.t_matrix), st, angles)
+        assert max(held_variant_values(d, st, "mermin", angles)) <= tilde + 1e-9
 
 
 class TestKMax:

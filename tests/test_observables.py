@@ -4,13 +4,15 @@
 import numpy as np
 import pytest
 
-from bell3q import (GeneralObservable, MeasurementSetting, Strengths, ThreeQubitState,
-                    build, build_v_matrix, build_w_matrix, decompose, decomposition_from_t,
-                    ghz_state, mermin_bound_x_asymmetric, mermin_expectation,
-                    parse_state_spec, svetlichny_expectation, random_state,
-                    triple_expectation, variant_expectations)
+from bell3q import (GeneralObservable, MeasurementSetting, SeeSawConfig, Strengths,
+                    ThreeQubitState, build, build_v_matrix, build_w_matrix, decompose,
+                    decomposition_from_t, ghz_state, mermin_bound_x_asymmetric,
+                    mermin_expectation, parse_state_spec, see_saw_maximize,
+                    svetlichny_expectation, random_state, triple_expectation,
+                    variant_expectations)
 from bell3q.mermin import _t_svals, optimal_unbiased_angles
-from bell3q.observables import OPERATORS
+from bell3q.observables import OPERATORS, VARIANT_SWAPS, exchange_order
+from bell3q.suites import saturable_tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -317,6 +319,32 @@ class TestSeededAngleSearch:
             assert value == pytest.approx(exact, rel=1e-12), seed
 
 
+class TestSixVariant:
+    @pytest.mark.parametrize("operator", ["mermin", "svetlichny"])
+    def test_attained_on_a_tensor_aligned_with_the_largest_pairing(
+            self, operator, held_variant_values):
+        """T aligned with the coefficient matrix of whichever of the operator and
+        its six exchanged variants pairs largest: a see-saw held at the angles
+        reaches the criterion value, so it is the maximum over the seven."""
+        op = OPERATORS[operator]
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            st = Strengths.from_iterable(rng.uniform(0.3, 1, 6))
+            angles = tuple(rng.uniform(0.2, np.pi - 0.2, 3))
+            s1, s2 = sorted(rng.uniform(0.3, 1, 2), reverse=True)
+            exchanged = [Strengths(*st.as_array()[list(exchange_order(p))])
+                         for p in ((0, 0, 0),) + VARIANT_SWAPS]
+            top = max(exchanged, key=lambda e: op.pair_bound(s1, s2, e, angles))
+            t = saturable_tensor(rng, op.coefficient_matrix(top, angles), s1, s2,
+                                 rng.uniform(0, s2))
+            d = decomposition_from_t(t)
+            value, _ = op.six_variant(*_t_svals(t), st, angles)
+            config = SeeSawConfig(restarts=8, seed=0, angle_constraints=angles)
+            reached = max(held_variant_values(d, st, operator, angles)
+                          + [see_saw_maximize(d, st, np.zeros(6), operator, config).value])
+            assert reached == pytest.approx(value, rel=1e-9)
+
+
 class TestAngleRange:
     """The shared bounds take relative angles in [0, pi] only: outside it the
     I+-/J+- closed forms return P and M swapped, a value below the pairing."""
@@ -339,8 +367,10 @@ class TestAngleRange:
         assert op.unbiased(0.8, 0.5, self.ST, angles).bound_value == value
         assert (op.tstate(0.8, 0.5, self.ST, angles).bound_value
                 == value + op.closed_form("bias_max")(self.ST))
+        exchanged = [Strengths(*self.ST.as_array()[list(exchange_order(p))])
+                     for p in ((0, 0, 0),) + VARIANT_SWAPS]
         assert (op.six_variant(0.8, 0.5, self.ST, angles)[0]
-                == op.pair_bound(0.8, 0.5, self.ST, angles, absolute=True))
+                == max(op.pair_bound(0.8, 0.5, st, angles) for st in exchanged))
 
 
 class TestBiasedWindow:

@@ -213,6 +213,37 @@ class TestSixVariant:
             assert tilde >= bound_at(t, st, ang) - 1e-12
 
 
+    def test_dominates_exchanged_operator_values(self, held_variant_values):
+        # unequal strengths on every party: each exchanged operator's value at
+        # random settings, and at the settings a see-saw held at their angles
+        # reaches, stays below the criterion at those angles
+        from bell3q import (ThreeQubitState, decompose, random_state, variant_expectations)
+        from bell3q.observables import GeneralObservable, MeasurementSetting
+
+        rng = np.random.default_rng(12)
+        for trial in range(30):
+            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            rho = g @ g.conj().T
+            d = decompose(ThreeQubitState(rho / rho.trace().real))
+            r = rng.uniform(0.1, 1, 6)
+            obs = []
+            for strength in r:
+                direction = rng.normal(size=3)
+                direction /= np.linalg.norm(direction)
+                obs.append(GeneralObservable(0.0, strength, direction))
+            setting = MeasurementSetting(*obs)
+            st, angles = Strengths.from_iterable(r), setting.relative_angles
+            tilde, _ = SVETLICHNY.six_variant(*_t_svals(d.t_matrix), st, angles)
+            values = [abs(v) for v in variant_expectations(d, setting, "svetlichny")]
+            if trial < 3:
+                values += held_variant_values(d, st, "svetlichny", angles)
+            assert max(values) <= tilde + 1e-9
+        d = decompose(random_state(79))
+        st, angles = Strengths(0.7, 0.21, 0.37, 0.16, 0.64, 0.17), (0.72, 1.41, 1.42)
+        tilde, _ = SVETLICHNY.six_variant(*_t_svals(d.t_matrix), st, angles)
+        assert max(held_variant_values(d, st, "svetlichny", angles)) <= tilde + 1e-9
+
+
 class TestLMax:
     def brute(self, st):
         bars = st.bars
