@@ -190,14 +190,17 @@ class TestBound:
         assert abs(achieved.bound_value - report["bound"]) < 1e-12 * report["bound"]
 
 
-    @pytest.mark.parametrize("state,strengths", [
-        ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4"),
-        ("tstate:0.3,0,0,0,0.2,0,0,0,0", "0.9,0.6,0.8,0.7,0.6,0.5"),
-        ("ghz", "0.9,0.6,0.8,0.8,0.7,0.7"),
+    @pytest.mark.parametrize("state,strengths,applicable", [
+        ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4", 3),
+        ("tstate:0.3,0,0,0,0.2,0,0,0,0", "0.9,0.6,0.8,0.7,0.6,0.5", 4),
+        ("ghz", "0.9,0.6,0.8,0.8,0.7,0.7", 5),
+        ("tstate:0.5,0,0,0,0.5,0,0,0,0.2", "0.9,0.6,0.7,0.7,0.8,0.8", 6),
     ])
-    def test_rows_equal_the_library_functions(self, state, strengths, capsys):
+    def test_rows_equal_the_library_functions(self, state, strengths, applicable, capsys):
         """The CLI evaluates these rows from the state's (s1, s2) once; here each
-        library call finds the spectrum from T itself."""
+        library call finds the spectrum from T itself.  On a T-state the
+        x_asymmetric and degenerate_smax rows are the closed form plus k_max or
+        l_max, under a label with _tstate before any trailing _best."""
         code, out, _ = run(["bound", "--state", state, "--strengths", strengths,
                             "--operator", "both"], capsys)
         assert code == 0
@@ -209,6 +212,8 @@ class TestBound:
         st = Strengths.from_iterable(float(x) for x in strengths.split(","))
         s1 = payload["config"]["t_singular_values"][0]
         x_args = (*_t_svals(t), st.rx, st.rxp, st.ry, st.rz)
+        term = {op: OPERATORS[op].closed_form("bias_max")(st) if tstate else 0.0
+                for op in OPERATORS}
         library = {
             "mermin": {
                 "unbiased_general": lambda a: mermin_bound_unbiased(t, st, a).bound_value,
@@ -220,9 +225,9 @@ class TestBound:
                 "tstate_general":
                     lambda a: OPERATORS["mermin"].tstate(*_t_svals(t), st, a).bound_value,
                 "x_asymmetric":
-                    lambda a: mermin_bound_x_asymmetric(*x_args, tstate=tstate).bound_value,
+                    lambda a: mermin_bound_x_asymmetric(*x_args).bound_value + term["mermin"],
                 "degenerate_smax":
-                    lambda a: mermin_bound_degenerate_smax(st, s1, tstate=tstate).bound_value,
+                    lambda a: mermin_bound_degenerate_smax(st, s1).bound_value + term["mermin"],
             },
             "svetlichny": {
                 "unbiased_general":
@@ -237,14 +242,13 @@ class TestBound:
                 "tstate_general":
                     lambda a: OPERATORS["svetlichny"].tstate(*_t_svals(t), st, a).bound_value,
                 "x_asymmetric":
-                    lambda a: svetlichny_bound_x_asymmetric_best(*x_args,
-                                                                 tstate=tstate).bound_value,
+                    lambda a: (svetlichny_bound_x_asymmetric_best(*x_args).bound_value
+                               + term["svetlichny"]),
                 "degenerate_smax":
-                    lambda a: svetlichny_bound_degenerate_smax(st, s1,
-                                                               tstate=tstate).bound_value,
+                    lambda a: (svetlichny_bound_degenerate_smax(st, s1).bound_value
+                               + term["svetlichny"]),
             },
         }
-        applicable = {"random": 3, "ghz": 5, "tstate": 4}[spec.kind]
         rows = [r for r in payload["reports"]
                 if not r["criterion"].endswith("_tightest_applicable")]
         assert len(rows) == 2 * applicable
@@ -252,6 +256,8 @@ class TestBound:
             label = row["criterion"][len(row["operator"]) + 1:]
             name = next(n for n in CRITERION_NAMES if label.startswith(n))
             assert row["bound"] == library[row["operator"]][name](tuple(row["angles"])), row
+            if name in ("x_asymmetric", "degenerate_smax"):
+                assert label.endswith(("_tstate", "_tstate_best")) == tstate, row
 
     def test_oracle_rows_on_a_tstate(self, capsys):
         # tstate_general takes bias enumeration; the certificates get no oracle
