@@ -66,11 +66,20 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
     return values
 
 
+def _unmix_tstate(spec: StateSpec) -> StateSpec:
+    """A white-noise mix of a tstate spec, at any depth, as that tstate spec with T
+    scaled by each visibility in turn (noise scales T by v, marginals stay 0)."""
+    if spec.kind == "mix":
+        base = _unmix_tstate(spec.base)
+        if base.kind == "tstate":
+            return replace(base, t_tensor=tuple(spec.visibility * np.array(base.t_tensor)))
+    return spec
+
+
 def _state_context(spec: StateSpec):
     """Decomposition, physicality info, T-state flag and (s1, s2) of T, computed
     once per state; tstate specs, and white-noise mixes of one, stay coefficient-level."""
-    if spec.kind == "mix" and spec.base.kind == "tstate":  # noise scales T by v, marginals stay 0
-        spec = replace(spec.base, t_tensor=tuple(spec.visibility * np.array(spec.base.t_tensor)))
+    spec = _unmix_tstate(spec)
     if spec.kind == "tstate":
         decomp = decomposition_from_t(np.asarray(spec.t_tensor).reshape(3, 3, 3))
         rebuilt = reconstruct(decomp)
@@ -86,8 +95,10 @@ def _state_context(spec: StateSpec):
 # Both operators share the criterion labels.  Each row holds the conditions
 # (see _select_criteria) a request must meet and the oracle: "free" is the
 # see-saw over all settings, "angles" the see-saw held at the row's angles,
-# "bias" the bias enumeration held there; a certificate (None) gets no oracle
-# and is never the tightest applicable bound.
+# "bias" the bias enumeration held there.  None gets no oracle and is never
+# the tightest applicable bound: orthogonal_sufficient is a violation
+# certificate, and six_variant bounds the operator and its six exchanged
+# variants at the row's angles, not the operator alone.
 CRITERIA = {
     "unbiased_general": ({"unbiased"}, "angles"),
     "equal_strengths": ({"unbiased", "equal_strengths"}, "free"),
@@ -100,17 +111,17 @@ CRITERIA = {
 CRITERION_NAMES = tuple(CRITERIA)
 
 
-def _select_criteria(arg: str, strengths: Strengths, tstate: bool, s1: float, s2: float,
+def _select_criteria(arg: str, strengths: Strengths, on_tstate: bool, s1: float, s2: float,
                      has_bias: bool) -> list[str]:
     """The criteria named by ``--criteria``; each must exist and apply.  Biased
     observables are handled only on T-states: elsewhere they meet no condition."""
     st = strengths
     conditions = {
-        "unbiased": not has_bias, "equal_strengths": st.equal_per_side, "tstate": tstate,
+        "unbiased": not has_bias, "equal_strengths": st.equal_per_side, "tstate": on_tstate,
         "x_asymmetric": (abs(st.ry - st.ryp) <= 1e-12 and abs(st.rz - st.rzp) <= 1e-12
                          and st.rx >= st.rxp),
         "degenerate": _degenerate(s1, s2)}
-    met = {c for c, holds in conditions.items() if holds and (tstate or not has_bias)}
+    met = {c for c, holds in conditions.items() if holds and (on_tstate or not has_bias)}
     if arg == "all-applicable":
         names = [n for n, (needs, _) in CRITERIA.items() if needs <= met]
         if not names:
@@ -163,28 +174,22 @@ def _resolve_angles(angles, strengths, operator: str, s1: float, s2: float):
 
 
 def _compute_report(name: str, operator: str, strengths: Strengths,
-                    angles, tstate: bool, s1: float, s2: float) -> BoundReport:
+                    angles, on_tstate: bool, s1: float, s2: float) -> BoundReport:
     st, op = strengths, OPERATORS[operator]
     if name == "unbiased_general":
         return op.unbiased(s1, s2, st, angles)
     if name == "tstate_general":
         return op.tstate(s1, s2, st, angles)
     if name == "six_variant":
-        value, _ = op.six_variant(s1, s2, st, angles)
-        return BoundReport(value, f"{operator}_six_variant",
-                           achieving_angles=tuple(angles),
-                           notes="criterion for the six exchanged operators")
+        return op.six_variant(s1, s2, st, angles)
     closed_form = op.closed_form(name)
     if name == "equal_strengths":
         return closed_form(s1, s2, st.rx, st.ry, st.rz)
     if name == "orthogonal_sufficient":
-        value, _ = closed_form(s1, s2, st)
-        return BoundReport(value, f"{operator}_orthogonal_sufficient",
-                           achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
-                           notes="violation certificate, not an upper bound")
-    if name == "x_asymmetric":
-        return closed_form(s1, s2, st.rx, st.rxp, st.ry, st.rz, tstate=tstate)
-    return closed_form(st, s1, tstate=tstate)  # the last criterion, degenerate_smax
+        return closed_form(s1, s2, st)
+    report = (closed_form(s1, s2, st.rx, st.rxp, st.ry, st.rz) if name == "x_asymmetric"
+              else closed_form(st, s1))  # the last criterion, degenerate_smax
+    return op.plus_bias_max(report, st) if on_tstate else report
 
 
 def _evaluate(args, context, strengths: Strengths, angles, has_bias: bool = False,

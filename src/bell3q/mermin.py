@@ -14,8 +14,8 @@ for unbiased observables, with V built from strengths and half-angles.  The
 combinations I+- = s1(V) +- s2(V) have a closed form that avoids the SVD.
 
 For states with maximally mixed single- and two-party marginals (T-states)
-an additive bias-only term ``k_max`` extends the bound to arbitrary biased
-observables.
+an additive bias-only term ``k_max`` extends a bound to arbitrary biased
+observables; ``Operator.plus_bias_max`` adds it.
 """
 
 from __future__ import annotations
@@ -143,18 +143,19 @@ def equal_strength_bound(s1: float, s2: float, rx: float, ry: float, rz: float) 
     )
 
 
-def mermin_sufficient_orthogonal(s1: float, s2: float, strengths: Strengths) -> tuple[float, bool]:
+def mermin_sufficient_orthogonal(s1: float, s2: float, strengths: Strengths) -> BoundReport:
     """Violation certificate at orthogonal relative angles.
 
-    Returns (value, value > 2).  The value pairs s1 with the (X, Y/Z', Y'/Z)
-    strength radical and s2 with its partner; it never exceeds the general
-    bound at orthogonal angles, so exceeding 2 certifies a violation.
+    The value pairs s1 with the (X, Y/Z', Y'/Z) strength radical and s2 with
+    its partner; it never exceeds the general bound at orthogonal angles, so
+    exceeding 2 certifies a violation.
     """
     st = strengths
     a = st.rx * np.sqrt(st.ry**2 * st.rzp**2 + st.ryp**2 * st.rz**2)
     b = st.rxp * np.sqrt(st.ry**2 * st.rz**2 + st.ryp**2 * st.rzp**2)
-    value = float(a * s1 + b * s2)
-    return value, value > OPERATORS["mermin"].classical_limit
+    return BoundReport(float(a * s1 + b * s2), "mermin_orthogonal_sufficient",
+                       achieving_angles=(np.pi / 2, np.pi / 2, np.pi / 2),
+                       notes="violation certificate, not an upper bound")
 
 
 def k_max(strengths: Strengths) -> float:
@@ -172,7 +173,7 @@ def k_max(strengths: Strengths) -> float:
 
 
 def mermin_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: float,
-                              rz: float, tstate: bool = False) -> BoundReport:
+                              rz: float) -> BoundReport:
     """Bound with unequal strengths on the X side only (R_X >= R_X').
 
     Value 2 R_Y R_Z sqrt(R_X^2 s1^2 + R_X'^2 s2^2), valid at every angle
@@ -185,20 +186,15 @@ def mermin_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: f
     denom = rx**2 * s1**2 + rxp**2 * s2**2
     ratio = 0.0 if denom <= 0 else 2.0 * rx * rxp * s1 * s2 / denom
     ty = float(np.arcsin(np.clip(np.sqrt(ratio), 0.0, 1.0)))
-    criterion = "mermin_x_asymmetric"
-    if tstate:
-        value += k_max(Strengths(rx, rxp, ry, ry, rz, rz))
-        criterion = "mermin_x_asymmetric_tstate"
     return BoundReport(
         bound_value=float(value),
-        criterion=criterion,
+        criterion="mermin_x_asymmetric",
         achieving_angles=(np.pi / 2, ty, ty),
         notes="angle family: sin(ty)*sin(tz) fixed; symmetric representative reported",
     )
 
 
-def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
-                                 tstate: bool = False) -> BoundReport:
+def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float) -> BoundReport:
     """Bound when the two largest singular values of T coincide (s1 = s2).
 
     Value s_max * sqrt(I0 + 2 Gamma0) with
@@ -216,15 +212,8 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float,
     tx = float(np.arctan2(st.rz * st.rzp * (st.ry**2 + st.ryp**2),
                           st.ry * st.ryp * (st.rz**2 - st.rzp**2)))
     ty = float(np.arccos(np.sign(st.rx - st.rxp)))
-    criterion = "mermin_degenerate_smax"
-    if tstate:
-        value += k_max(st)
-        criterion = "mermin_degenerate_smax_tstate"
-    return BoundReport(
-        bound_value=float(value),
-        criterion=criterion,
-        achieving_angles=(tx, ty, np.pi / 2),
-    )
+    return BoundReport(bound_value=float(value), criterion="mermin_degenerate_smax",
+                       achieving_angles=(tx, ty, np.pi / 2))
 
 
 def optimal_unbiased_angles(s1: float, s2: float, strengths: Strengths,

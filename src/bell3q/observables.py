@@ -16,7 +16,7 @@ Svetlichny) that pairs with the correlation matrix T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import import_module
 
 import numpy as np
@@ -178,7 +178,9 @@ class Operator:
     The methods after :meth:`coefficient_matrix` are the operator-generic
     bounds.  Each takes the two largest singular values (s1, s2) of T and
     pairs them with the record's ``plus_minus`` closed form.  The closed forms
-    the record names take (s1, s2), s_max or strengths only, never T itself.
+    the record names take (s1, s2), s_max or strengths only, never T itself,
+    and each bound returns a :class:`BoundReport`.  :meth:`plus_bias_max` is
+    the one place the T-state term ``bias_max`` is added to a bound.
     """
 
     name: str
@@ -219,31 +221,39 @@ class Operator:
                            criterion=f"{self.name}_unbiased_general",
                            achieving_angles=tuple(float(a) for a in angles))
 
-    def six_variant(self, s1, s2, strengths, angles) -> tuple[float, bool]:
-        """(value, value > classical limit), value the largest ``pair_bound`` of the
-        operator and its six ``VARIANT_SWAPS`` variants, so a bound on each at these
-        angles: exchanging a party's pair reflects its half-angle rows, which keeps
-        s(C), so a variant's bound is ``pair_bound`` at that party's strengths
-        exchanged.  At equal per-side strengths it is one call, equal to ``unbiased``."""
+    def six_variant(self, s1, s2, strengths, angles) -> BoundReport:
+        """The largest ``pair_bound`` of the operator and its six ``VARIANT_SWAPS``
+        variants, so a bound on each at these angles: exchanging a party's pair
+        reflects its half-angle rows, which keeps s(C), so a variant's bound is
+        ``pair_bound`` at that party's strengths exchanged.  At equal per-side
+        strengths it is one call, equal to ``unbiased``."""
         _require_angles(angles)
         st = strengths
         value = float(self.pair_bound(s1, s2, st, angles))
         for order in _EXCHANGES[st.rx != st.rxp, st.ry != st.ryp, st.rz != st.rzp]:
             exchanged = Strengths(*st.as_array()[order])
             value = max(value, float(self.pair_bound(s1, s2, exchanged, angles)))
-        return value, value > self.classical_limit
+        return BoundReport(value, f"{self.name}_six_variant",
+                           achieving_angles=tuple(float(a) for a in angles),
+                           notes="criterion for the six exchanged operators")
+
+    def plus_bias_max(self, report: BoundReport, strengths) -> BoundReport:
+        """``report``, a bound for unbiased observables, plus the bias-only maximum
+        ``bias_max`` at ``strengths``: the bound for biased observables on a T-state.
+        Biases and directions are independent, so both parts are reached together
+        whenever the report's part is.  ``_tstate`` goes into the label before a
+        trailing ``_best``, or at its end."""
+        stem = report.criterion.removesuffix("_best")
+        return replace(report, criterion=stem + "_tstate" + report.criterion[len(stem):],
+                       bound_value=report.bound_value + self.closed_form("bias_max")(strengths))
 
     def tstate(self, s1, s2, strengths, angles, decomp=None) -> BoundReport:
-        """The unbiased bound plus the bias-only maximum ``bias_max``, for biased
-        observables on a T-state.  Biases and directions are independent, so both
-        parts are reached together whenever the unbiased part is.  With ``decomp``
-        the state is checked to be a T-state."""
+        """``unbiased`` plus the bias-only maximum, labeled ``tstate_general``.  With
+        ``decomp`` the state is checked to be a T-state."""
         if decomp is not None and not is_tstate(decomp):
             raise ValueError("state is not a T-state: local or bipartite blocks are nonzero")
-        base = self.unbiased(s1, s2, strengths, angles)
-        return BoundReport(bound_value=base.bound_value + self.closed_form("bias_max")(strengths),
-                           criterion=f"{self.name}_tstate_general",
-                           achieving_angles=base.achieving_angles)
+        report = self.plus_bias_max(self.unbiased(s1, s2, strengths, angles), strengths)
+        return replace(report, criterion=f"{self.name}_tstate_general")
 
     def grid_angles(self, s1, s2, strengths, resolution: int = 64):
         """(angles, value): the largest unbiased bound the search finds over

@@ -7,13 +7,16 @@ through the singular-value inequality,
 
 for unbiased observables, and the combinations J+- = s1(W) +- s2(W) have a
 closed form.  Violation of the classical certificate means exceeding 4.
-The bias-only extension on T-states is ``l_max``.  Only
+The bias-only extension on T-states is ``l_max``, which
+``Operator.plus_bias_max`` adds.  Only
 ``svetlichny_bound_equal_strengths`` takes T; the unbiased, six-variant and
 T-state bounds and the biased window are methods of
 ``OPERATORS["svetlichny"]``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,12 +98,12 @@ def equal_strength_bound_svetlichny(s1: float, s2: float, rx: float, ry: float,
     )
 
 
-def svetlichny_sufficient_orthogonal(s1: float, s2: float,
-                                     strengths: Strengths) -> tuple[float, bool]:
-    """Violation certificate at orthogonal relative angles: (value, value > 4),
-    with value the unbiased pairing bound at (pi/2, pi/2, pi/2)."""
-    value = OPERATORS["svetlichny"].unbiased(s1, s2, strengths, (np.pi / 2,) * 3).bound_value
-    return value, value > OPERATORS["svetlichny"].classical_limit
+def svetlichny_sufficient_orthogonal(s1: float, s2: float, strengths: Strengths) -> BoundReport:
+    """Violation certificate at orthogonal relative angles: the unbiased pairing
+    bound at (pi/2, pi/2, pi/2), so exceeding 4 certifies a violation."""
+    report = OPERATORS["svetlichny"].unbiased(s1, s2, strengths, (np.pi / 2,) * 3)
+    return replace(report, criterion="svetlichny_orthogonal_sufficient",
+                   notes="violation certificate, not an upper bound")
 
 
 def l_max(strengths: Strengths) -> float:
@@ -133,7 +136,8 @@ def svetlichny_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, r
       parallel: tx = 0, sin(ty) sin(tz) = |R_X^2 - R_X'^2|/(R_X^2 + R_X'^2),
              value 2 sqrt(2) R_Y R_Z s_max sqrt(R_X^2 + R_X'^2); requires a
              doubly degenerate largest singular value.
-    The T-state term l_max is added once, by ``svetlichny_bound_x_asymmetric_best``.
+    On a T-state the bias-only term l_max is added to the best branch by
+    ``Operator.plus_bias_max``.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -162,14 +166,13 @@ def svetlichny_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, r
                        achieving_angles=angles)
 
 
-def svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz,
-                                       tstate: bool = False) -> BoundReport:
+def svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz) -> BoundReport:
     """Largest applicable branch value (aggregation, not a single stated result).
 
     Branches whose unbiased values agree to 1e-12 relative are ties; the
     criterion and angles then come from the first of them in the order
     mixed, orthogonal, parallel, so last-bit rounding cannot decide which
-    branch is reported.  ``tstate`` then adds l_max once, to the winner.
+    branch is reported.
     """
     branches = ["mixed", "orthogonal"]
     if _degenerate(s1, s2):
@@ -177,16 +180,12 @@ def svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz,
     reports = [svetlichny_bound_x_asymmetric(s1, s2, rx, rxp, ry, rz, b) for b in branches]
     top = max(r.bound_value for r in reports)
     best = next(r for r in reports if r.bound_value >= top - 1e-12 * abs(top))
-    if tstate:
-        top += l_max(Strengths(rx, rxp, ry, ry, rz, rz))
-    return BoundReport(bound_value=top,
-                       criterion=best.criterion + ("_tstate_best" if tstate else "_best"),
+    return BoundReport(bound_value=top, criterion=best.criterion + "_best",
                        achieving_angles=best.achieving_angles,
                        notes="maximum over applicable angle branches")
 
 
-def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float,
-                                     tstate: bool = False) -> BoundReport:
+def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float) -> BoundReport:
     """Bound when s1(T) = s2(T), with the X relative angle fixed at 0 or pi.
 
     Value s_max sqrt(J0 + 2 Gamma1), Gamma1 the sum of the absolute cross
@@ -201,11 +200,7 @@ def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float,
     tx = float(np.arccos(np.sign((st.ry - st.ryp) * (st.rz - st.rzp))))
     ty = float(np.arccos(np.sign((st.rx - st.rxp) * (st.rz - st.rzp))))
     tz = float(np.arccos(np.sign((st.rx - st.rxp) * (st.ry - st.ryp))))
-    criterion = "svetlichny_degenerate_smax"
-    if tstate:
-        value += l_max(st)
-        criterion += "_tstate"
-    return BoundReport(bound_value=float(value), criterion=criterion,
+    return BoundReport(bound_value=float(value), criterion="svetlichny_degenerate_smax",
                        achieving_angles=(tx, ty, tz))
 
 

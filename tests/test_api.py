@@ -22,8 +22,12 @@ def test_every_exported_name_exists(module):
 
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 def test_every_closed_form_role_resolves_to_a_spectrum_taking_callable(operator):
+    """No named closed form takes T, nor a switch for the T-state term: that term
+    is added by ``Operator.plus_bias_max`` alone."""
     op = OPERATORS[operator]
     for role in op.closed_forms:
         form = op.closed_form(role)
         assert callable(form), role
-        assert "t" not in inspect.signature(form).parameters, role
+        parameters = inspect.signature(form).parameters
+        assert "t" not in parameters, role
+        assert "tstate" not in parameters, role

@@ -190,13 +190,13 @@ class TestBound:
         assert abs(achieved.bound_value - report["bound"]) < 1e-12 * report["bound"]
 
 
-    @pytest.mark.parametrize("state,strengths,applicable", [
-        ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4", 3),
-        ("tstate:0.3,0,0,0,0.2,0,0,0,0", "0.9,0.6,0.8,0.7,0.6,0.5", 4),
-        ("ghz", "0.9,0.6,0.8,0.8,0.7,0.7", 5),
-        ("tstate:0.5,0,0,0,0.5,0,0,0,0.2", "0.9,0.6,0.7,0.7,0.8,0.8", 6),
+    @pytest.mark.parametrize("state,strengths", [
+        ("random:7", "0.9,0.8,0.7,0.6,0.5,0.4"),
+        ("tstate:0.3,0,0,0,0.2,0,0,0,0", "0.9,0.6,0.8,0.7,0.6,0.5"),
+        ("ghz", "0.9,0.6,0.8,0.8,0.7,0.7"),
+        ("tstate:0.5,0,0,0,0.5,0,0,0,0.2", "0.9,0.6,0.7,0.7,0.8,0.8"),
     ])
-    def test_rows_equal_the_library_functions(self, state, strengths, applicable, capsys):
+    def test_rows_equal_the_library_functions(self, state, strengths, capsys):
         """The CLI evaluates these rows from the state's (s1, s2) once; here each
         library call finds the spectrum from T itself.  On a T-state the
         x_asymmetric and degenerate_smax rows are the closed form plus k_max or
@@ -220,8 +220,9 @@ class TestBound:
                 "equal_strengths":
                     lambda a: mermin_bound_equal_strengths(t, st.rx, st.ry, st.rz).bound_value,
                 "orthogonal_sufficient":
-                    lambda a: mermin_sufficient_orthogonal(*_t_svals(t), st)[0],
-                "six_variant": lambda a: OPERATORS["mermin"].six_variant(*_t_svals(t), st, a)[0],
+                    lambda a: mermin_sufficient_orthogonal(*_t_svals(t), st).bound_value,
+                "six_variant":
+                    lambda a: OPERATORS["mermin"].six_variant(*_t_svals(t), st, a).bound_value,
                 "tstate_general":
                     lambda a: OPERATORS["mermin"].tstate(*_t_svals(t), st, a).bound_value,
                 "x_asymmetric":
@@ -236,9 +237,10 @@ class TestBound:
                     lambda a: svetlichny_bound_equal_strengths(t, st.rx, st.ry,
                                                                st.rz).bound_value,
                 "orthogonal_sufficient":
-                    lambda a: svetlichny_sufficient_orthogonal(*_t_svals(t), st)[0],
+                    lambda a: svetlichny_sufficient_orthogonal(*_t_svals(t), st).bound_value,
                 "six_variant":
-                    lambda a: OPERATORS["svetlichny"].six_variant(*_t_svals(t), st, a)[0],
+                    lambda a: OPERATORS["svetlichny"].six_variant(*_t_svals(t), st,
+                                                                  a).bound_value,
                 "tstate_general":
                     lambda a: OPERATORS["svetlichny"].tstate(*_t_svals(t), st, a).bound_value,
                 "x_asymmetric":
@@ -249,6 +251,8 @@ class TestBound:
                                + term["svetlichny"]),
             },
         }
+        applicable = {"random:7": 3, "tstate:0.3,0,0,0,0.2,0,0,0,0": 4, "ghz": 5,
+                      "tstate:0.5,0,0,0,0.5,0,0,0,0.2": 6}[state]
         rows = [r for r in payload["reports"]
                 if not r["criterion"].endswith("_tightest_applicable")]
         assert len(rows) == 2 * applicable
@@ -412,6 +416,30 @@ class TestScan:
                 assert row[f"{operator}_{name}"] == bound, (operator, name)
         code, _, err = run(["scan", "--state", state, "--scan-axis", "visibility",
                             "--range", "0,1.5,2"], capsys)
+        assert code == 2 and "visibility must lie in [0, 1]" in err
+
+    def test_nested_mixes_of_a_tstate_stay_at_the_coefficient_level(self, capsys):
+        """Each white-noise step scales T by its visibility, at any depth: two steps
+        at 0.5 are one at 0.25, and a visibility scan wraps its spec in one more."""
+        state = "tstate:1,0,0,0,1,0,0,0,1"
+        code, out, err = run(["bound", "--state", f"mix:mix:{state}:0.5:0.5"], capsys)
+        assert code == 0, err
+        nested = json.loads(out)
+        code, out, _ = run(["bound", "--state", f"mix:{state}:0.25"], capsys)
+        assert code == 0
+        assert {**nested, "state": None} == {**json.loads(out), "state": None}
+        code, out, err = run(["scan", "--state", f"mix:{state}:0.5", "--scan-axis",
+                              "visibility", "--range", "0,1,3"], capsys)
+        assert code == 0, err
+        nested = json.loads(out)["rows"]
+        code, out, _ = run(["scan", "--state", state, "--scan-axis", "visibility",
+                            "--range", "0,0.5,3"], capsys)
+        assert code == 0
+        keys = ("index", "axis_value")
+        assert ([{k: v for k, v in row.items() if k not in keys} for row in nested]
+                == [{k: v for k, v in row.items() if k not in keys}
+                    for row in json.loads(out)["rows"]])
+        code, _, err = run(["bound", "--state", f"mix:mix:{state}:1.5:0.5"], capsys)
         assert code == 2 and "visibility must lie in [0, 1]" in err
 
     def test_window_flip_on_ghz_tensor(self, capsys):

@@ -173,12 +173,14 @@ class TestEqualStrengths:
 
 class TestSufficientOrthogonal:
     def test_ghz_unit(self):
-        value, violated = mermin_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(1.0))
+        r = mermin_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(1.0))
+        value, violated = r.bound_value, r.bound_value > MERMIN.classical_limit
         assert abs(value - 4.0) < 1e-12
         assert violated
 
     def test_zero(self):
-        value, violated = mermin_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(0.0))
+        r = mermin_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(0.0))
+        value, violated = r.bound_value, r.bound_value > MERMIN.classical_limit
         assert value == 0.0 and not violated
 
     def test_never_exceeds_general_bound_at_orthogonal_angles(self):
@@ -186,7 +188,7 @@ class TestSufficientOrthogonal:
         for _ in range(100):
             t = random_t(rng)
             st = random_strengths(rng)
-            value, _ = mermin_sufficient_orthogonal(*_t_svals(t), st)
+            value = mermin_sufficient_orthogonal(*_t_svals(t), st).bound_value
             general = bound_at(t, st, ORTH)
             assert value <= general + 1e-10
             # equality whenever the s1 pairing dominates the s2 pairing
@@ -203,12 +205,12 @@ class TestSixVariant:
             t = random_t(rng)
             st = Strengths.equal(*rng.uniform(0, 1, 3))
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = MERMIN.six_variant(*_t_svals(t), st, ang)
+            tilde = MERMIN.six_variant(*_t_svals(t), st, ang).bound_value
             assert abs(tilde - bound_at(t, st, ang)) < 1e-12
 
     def test_zero(self):
-        value, violated = MERMIN.six_variant(
-            *_t_svals(ghz_t()), Strengths.uniform(0.0), ORTH)
+        r = MERMIN.six_variant(*_t_svals(ghz_t()), Strengths.uniform(0.0), ORTH)
+        value, violated = r.bound_value, r.bound_value > MERMIN.classical_limit
         assert value == 0.0 and not violated
 
     def test_dominates_base_bound(self):
@@ -217,7 +219,7 @@ class TestSixVariant:
             t = random_t(rng)
             st = random_strengths(rng)
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = MERMIN.six_variant(*_t_svals(t), st, ang)
+            tilde = MERMIN.six_variant(*_t_svals(t), st, ang).bound_value
             assert tilde >= bound_at(t, st, ang) - 1e-12
 
     def test_dominates_exchanged_operator_values(self, held_variant_values):
@@ -240,7 +242,7 @@ class TestSixVariant:
                 obs.append(GeneralObservable(0.0, strength, direction))
             setting = MeasurementSetting(*obs)
             st, angles = Strengths.from_iterable(r), setting.relative_angles
-            tilde, _ = MERMIN.six_variant(*_t_svals(d.t_matrix), st, angles)
+            tilde = MERMIN.six_variant(*_t_svals(d.t_matrix), st, angles).bound_value
             values = [abs(v) for v in variant_expectations(d, setting, "mermin")]
             if trial < 3:
                 values += held_variant_values(d, st, "mermin", angles)
@@ -249,7 +251,7 @@ class TestSixVariant:
         # 0.0712 here, below the 0.0906 that the held see-saw reaches
         d = decompose(random_state(79))
         st, angles = Strengths(0.7, 0.21, 0.37, 0.16, 0.64, 0.17), (0.72, 1.41, 1.42)
-        tilde, _ = MERMIN.six_variant(*_t_svals(d.t_matrix), st, angles)
+        tilde = MERMIN.six_variant(*_t_svals(d.t_matrix), st, angles).bound_value
         assert max(held_variant_values(d, st, "mermin", angles)) <= tilde + 1e-9
 
 
@@ -387,8 +389,8 @@ class TestXAsymmetric:
         t = np.zeros((3, 3, 3))
         t[0, 0, 0], t[1, 1, 1] = 0.3, 0.2
         st = Strengths(0.9, 0.3, 0.5, 0.5, 0.5, 0.5)
-        bound = mermin_bound_x_asymmetric(*_t_svals(t.reshape(3, 9)), 0.9, 0.3, 0.5, 0.5,
-                                          tstate=True).bound_value
+        bound = MERMIN.plus_bias_max(mermin_bound_x_asymmetric(
+            *_t_svals(t.reshape(3, 9)), 0.9, 0.3, 0.5, 0.5), st).bound_value
         best = bias_optimize(decomposition_from_t(t), st, "mermin",
                              SeeSawConfig(restarts=8)).value
         assert best <= bound + 1e-12
@@ -412,7 +414,8 @@ class TestDegenerateSmax:
         draws = [(random_strengths(rng), rng.uniform(0.0, 1.0)) for _ in range(2000)]
         draws += [(Strengths.uniform(0.0), 1.0), (Strengths.uniform(1.0), 0.7)]
         for st, s_max in draws:
-            value = mermin_bound_degenerate_smax(st, s_max, tstate=tstate).bound_value
+            report = mermin_bound_degenerate_smax(st, s_max)
+            value = (MERMIN.plus_bias_max(report, st) if tstate else report).bound_value
             assert value == degenerate_smax_reference(st, s_max, tstate), (st, s_max)
 
     def test_unit_strengths(self):
@@ -421,7 +424,8 @@ class TestDegenerateSmax:
 
     def test_zero_strengths(self):
         assert mermin_bound_degenerate_smax(Strengths.uniform(0.0), 1.0).bound_value == 0.0
-        v = mermin_bound_degenerate_smax(Strengths.uniform(0.0), 1.0, tstate=True)
+        v = MERMIN.plus_bias_max(mermin_bound_degenerate_smax(Strengths.uniform(0.0), 1.0),
+                                 Strengths.uniform(0.0))
         assert v.bound_value == 2.0
 
     def test_dominates_bound_on_its_slices(self):

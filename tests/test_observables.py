@@ -338,7 +338,7 @@ class TestSixVariant:
             t = saturable_tensor(rng, op.coefficient_matrix(top, angles), s1, s2,
                                  rng.uniform(0, s2))
             d = decomposition_from_t(t)
-            value, _ = op.six_variant(*_t_svals(t), st, angles)
+            value = op.six_variant(*_t_svals(t), st, angles).bound_value
             config = SeeSawConfig(restarts=8, seed=0, angle_constraints=angles)
             reached = max(held_variant_values(d, st, operator, angles)
                           + [see_saw_maximize(d, st, np.zeros(6), operator, config).value])
@@ -369,7 +369,7 @@ class TestAngleRange:
                 == value + op.closed_form("bias_max")(self.ST))
         exchanged = [Strengths(*self.ST.as_array()[list(exchange_order(p))])
                      for p in ((0, 0, 0),) + VARIANT_SWAPS]
-        assert (op.six_variant(0.8, 0.5, self.ST, angles)[0]
+        assert (op.six_variant(0.8, 0.5, self.ST, angles).bound_value
                 == max(op.pair_bound(0.8, 0.5, st, angles) for st in exchanged))
 
 

@@ -1,10 +1,11 @@
-"""The README's Python and CLI examples run against the package as it is."""
+"""The README's Python and CLI examples run against the package as it is, and
+its criteria table lists the CLI's criteria."""
 
 import re
 import shlex
 from pathlib import Path
 
-from bell3q.cli import main
+from bell3q.cli import CRITERION_NAMES, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +30,9 @@ def test_cli_block_lines_exit_0(capsys):
         assert program == "bell3q"
         assert main(argv) == 0, command
         assert capsys.readouterr().out
+
+
+def test_criteria_table_names_the_cli_criteria_in_order():
+    rows = re.search(r"\| criterion \|.*\n\| ---.*\n((?:\|.*\n)+)", README.read_text()).group(1)
+    names = tuple(re.match(r"\| `(\w+)` \|", row).group(1) for row in rows.splitlines())
+    assert names == CRITERION_NAMES

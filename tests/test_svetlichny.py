@@ -169,14 +169,14 @@ class TestEqualStrengths:
 
 class TestSufficientOrthogonal:
     def test_ghz_unit(self):
-        value, violated = svetlichny_sufficient_orthogonal(*_t_svals(ghz_t()),
-                                                           Strengths.uniform(1.0))
+        r = svetlichny_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(1.0))
+        value, violated = r.bound_value, r.bound_value > SVETLICHNY.classical_limit
         assert abs(value - 4.0 * ROOT2) < 1e-12
         assert violated
 
     def test_zero(self):
-        value, violated = svetlichny_sufficient_orthogonal(*_t_svals(ghz_t()),
-                                                           Strengths.uniform(0.0))
+        r = svetlichny_sufficient_orthogonal(*_t_svals(ghz_t()), Strengths.uniform(0.0))
+        value, violated = r.bound_value, r.bound_value > SVETLICHNY.classical_limit
         assert value == 0.0 and not violated
 
     def test_equals_general_bound_at_orthogonal_angles(self):
@@ -184,7 +184,7 @@ class TestSufficientOrthogonal:
         for _ in range(100):
             t = random_t(rng)
             st = random_strengths(rng)
-            value, _ = svetlichny_sufficient_orthogonal(*_t_svals(t), st)
+            value = svetlichny_sufficient_orthogonal(*_t_svals(t), st).bound_value
             assert abs(value - bound_at(t, st, ORTH)) < 1e-10
 
 
@@ -195,12 +195,12 @@ class TestSixVariant:
             t = random_t(rng)
             st = Strengths.equal(*rng.uniform(0, 1, 3))
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = SVETLICHNY.six_variant(*_t_svals(t), st, ang)
+            tilde = SVETLICHNY.six_variant(*_t_svals(t), st, ang).bound_value
             assert abs(tilde - bound_at(t, st, ang)) < 1e-12
 
     def test_zero(self):
-        value, violated = SVETLICHNY.six_variant(
-            *_t_svals(ghz_t()), Strengths.uniform(0.0), ORTH)
+        r = SVETLICHNY.six_variant(*_t_svals(ghz_t()), Strengths.uniform(0.0), ORTH)
+        value, violated = r.bound_value, r.bound_value > SVETLICHNY.classical_limit
         assert value == 0.0 and not violated
 
     def test_dominates_base_bound(self):
@@ -209,7 +209,7 @@ class TestSixVariant:
             t = random_t(rng)
             st = random_strengths(rng)
             ang = tuple(rng.uniform(0, np.pi, 3))
-            tilde, _ = SVETLICHNY.six_variant(*_t_svals(t), st, ang)
+            tilde = SVETLICHNY.six_variant(*_t_svals(t), st, ang).bound_value
             assert tilde >= bound_at(t, st, ang) - 1e-12
 
 
@@ -233,14 +233,14 @@ class TestSixVariant:
                 obs.append(GeneralObservable(0.0, strength, direction))
             setting = MeasurementSetting(*obs)
             st, angles = Strengths.from_iterable(r), setting.relative_angles
-            tilde, _ = SVETLICHNY.six_variant(*_t_svals(d.t_matrix), st, angles)
+            tilde = SVETLICHNY.six_variant(*_t_svals(d.t_matrix), st, angles).bound_value
             values = [abs(v) for v in variant_expectations(d, setting, "svetlichny")]
             if trial < 3:
                 values += held_variant_values(d, st, "svetlichny", angles)
             assert max(values) <= tilde + 1e-9
         d = decompose(random_state(79))
         st, angles = Strengths(0.7, 0.21, 0.37, 0.16, 0.64, 0.17), (0.72, 1.41, 1.42)
-        tilde, _ = SVETLICHNY.six_variant(*_t_svals(d.t_matrix), st, angles)
+        tilde = SVETLICHNY.six_variant(*_t_svals(d.t_matrix), st, angles).bound_value
         assert max(held_variant_values(d, st, "svetlichny", angles)) <= tilde + 1e-9
 
 
@@ -359,7 +359,8 @@ class TestXAsymmetric:
             if i % 3 == 0:
                 rxp = rx
             ry, rz = rng.uniform(0.0, 1.0, 2)
-            report = svetlichny_bound_x_asymmetric_best(s1, s2, rx, rxp, ry, rz, tstate=True)
+            report = SVETLICHNY.plus_bias_max(svetlichny_bound_x_asymmetric_best(
+                s1, s2, rx, rxp, ry, rz), Strengths(rx, rxp, ry, ry, rz, rz))
             value, criterion, angles = per_branch_tstate_reference(s1, s2, rx, rxp, ry, rz)
             assert report.bound_value == value, i
             assert (report.criterion, report.achieving_angles) == (criterion, angles), i
@@ -417,7 +418,8 @@ class TestDegenerateSmax:
 
     def test_zero_strengths(self):
         assert svetlichny_bound_degenerate_smax(Strengths.uniform(0.0), 1.0).bound_value == 0.0
-        v = svetlichny_bound_degenerate_smax(Strengths.uniform(0.0), 1.0, tstate=True)
+        v = SVETLICHNY.plus_bias_max(svetlichny_bound_degenerate_smax(Strengths.uniform(0.0), 1.0),
+                                     Strengths.uniform(0.0))
         assert v.bound_value == 4.0
 
     def test_dominates_bound_in_fixed_x_scope(self):
