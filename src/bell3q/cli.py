@@ -26,6 +26,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -426,9 +427,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a comma list of numbers.  argparse takes a token
+# that starts with '-' for an option unless it is one plain negative number,
+# so a list such as ``--biases -0.3,0,0,0,0,0`` is joined to its option,
+# as ``--biases=-0.3,0,0,0,0,0``, before parsing.
+_NUMBER_LISTS = ("--strengths", "--angles", "--biases", "--range")
+
+
+def _join_negative_lists(argv) -> list:
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMBER_LISTS and re.match(r"-[\d.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "bound":
             return cmd_bound(args)
