@@ -129,7 +129,7 @@ def suite_tightness(seed: int, budget: int) -> SuiteResult:
     deviations = []
     t0 = time.perf_counter()
     config = SeeSawConfig(restarts=8, max_sweeps=300, convergence_tol=1e-13, seed=seed)
-    sweeps, capped = 0, 0
+    sweeps, capped = [], 0
     for i in range(budget):
         r = rng.uniform(0.3, 1.0, 3)
         st = Strengths.equal(*r)
@@ -144,11 +144,13 @@ def suite_tightness(seed: int, budget: int) -> SuiteResult:
         cfg = replace(config, seed=seed + 1000 * i, angle_constraints=angles)
         result = see_saw_maximize(decomp, st, np.zeros(6), op.name, cfg)
         deviations.append(abs(bound - result.value))
-        sweeps, capped = max(sweeps, result.sweeps), capped + result.hit_max_sweeps
+        sweeps.append(result.sweeps)
+        capped += result.hit_max_sweeps
     return _result("tightness", deviations, 1e-4, t0,
                    "angle-constrained see-saw vs equal-strength bounds on "
                    f"alignment-compatible tensors; {capped} see-saw calls stopped at the "
-                   f"{config.max_sweeps}-sweep cap, the longest took {sweeps} sweeps")
+                   f"{config.max_sweeps}-sweep cap, the longest took {max(sweeps, default=0)} "
+                   f"sweeps and the mean {sum(sweeps) / max(len(sweeps), 1):.2f}")
 
 
 def suite_invariance(seed: int, budget: int) -> SuiteResult:

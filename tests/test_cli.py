@@ -36,6 +36,16 @@ def run(args, capsys):
 
 
 class TestBound:
+    def test_negative_list_after_a_space(self, capsys):
+        # argparse takes "-0.3,0,..." for an option; the CLI joins it to its option
+        common = ["bound", "--state", "tstate:0.5,0,0,0,0.5,0,0,0,0.2", "--strengths",
+                  "0.5,0.5,0.5,0.5,0.5,0.5", "--operator", "mermin"]
+        spaced = run(common + ["--biases", "-0.3,0,0,0,0,0"], capsys)
+        joined = run(common + ["--biases=-0.3,0,0,0,0,0"], capsys)
+        assert spaced[0] == 0 and spaced == joined
+        code, _, err = run(["bound", "--state", "ghz", "--angles", "-1,0,0"], capsys)
+        assert code == 2 and "angles must lie in [0, pi]" in err
+
     def test_ghz_mermin_all_applicable(self, capsys):
         code, out, _ = run(["bound", "--state", "ghz", "--operator", "mermin"], capsys)
         assert code == 0
@@ -542,6 +552,7 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", "tightness", "--budget", "6"], capsys)
         assert code == 0
         match = re.search(r"; (\d+) see-saw calls stopped at the 300-sweep cap, the longest "
-                          r"took (\d+) sweeps; worst instance", out)
+                          r"took (\d+) sweeps and the mean (\d+\.\d\d); worst instance", out)
         assert match, out
         assert match.group(1) == "0" and 2 <= int(match.group(2)) < 300
+        assert 2 <= float(match.group(3)) <= int(match.group(2))
