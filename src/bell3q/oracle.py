@@ -17,7 +17,9 @@ Two oracles validate the closed-form bounds:
   each held pair as one, turns by a rotation vector, with the Hessian
   built from the party-pair blocks of the operator.  Indefinite rows, and
   rows whose Newton step would not climb, take the saddle-free step
-  (Dauphin et al., 2014), and a step is kept only where it raises the
+  (Dauphin et al., 2014) with each direction of negative curvature moved by
+  at least the step's turn cap, so a row at a saddle, where the gradient
+  vanishes, leaves it in one step; a step is kept only where it raises the
   value.  A sweep is one alternating pass plus, from the sixth on, its
   Newton step; ``max_sweeps`` caps them.  The first sweep may lower the
   value, so convergence is judged from the second.  Held at the relative
@@ -39,7 +41,7 @@ import functools
 import itertools
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -69,10 +71,19 @@ _LEVI = _LEVI.reshape(3, 9)
 _CROSS_DOT = np.vstack([_LEVI, -np.eye(3).reshape(1, 9)])
 _ROW_SUMS = np.kron(np.eye(2), np.ones(3))                  # two squared norms
 _SUM_DIFF = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(3))   # g1 + g2, g1 - g2
-_CROSS_MATRIX = _LEVI.reshape(3, 3, 3).swapaxes(0, 1).reshape(3, 9)  # d @ it: [d]x, flat
+_EYE3 = np.eye(3)
+# a x b = (a @ _CROSS_LEFT) * (b @ _CROSS_RIGHT), first half minus second half
+_CROSS_LEFT = _EYE3[:, [1, 2, 0, 2, 0, 1]]
+_CROSS_RIGHT = _EYE3[:, [2, 0, 1, 1, 2, 0]]
+# h_p @ _JACOBIAN: d h_p / d w, (8, 6) per party, flat: the block of direction
+# (p, a) is -[r d]x, and h_p[a, 1:] = r d, so each entry is +-r d_j exactly
+_JACOBIAN = np.zeros((2, 4, 2, 4, 2, 3))
+for _a in range(2):
+    _JACOBIAN[_a, 1:, _a, 1:, _a] = -_LEVI.reshape(3, 3, 3).transpose(1, 0, 2)
+_JACOBIAN = _JACOBIAN.reshape(8, 48)
 
 _POLISH_FROM = 6      # the first sweep that ends with a Newton step
-_MAX_TURN = 0.5       # largest rotation angle of one Newton step, in radians
+_MAX_TURN = 0.8       # largest rotation angle of one Newton step, in radians
 
 
 @dataclass(frozen=True)
@@ -118,9 +129,13 @@ def _initial_directions(seed: int, n_restarts: int) -> np.ndarray:
     """(n_restarts, 6, 3) unit vectors; restart r uses generator seed + r.
 
     Sphere sampling via cos(theta) = 2u - 1, phi = 2 pi v avoids pole bias.
+    u and v are default_rng(seed + r).uniform(size=(2, 6)), read straight
+    from its PCG64 stream: each uniform is the top 53 bits of one 64-bit
+    output times 2^-53.  Skipping the Generator saves about a seventh of a
+    restart's draw; the rest is seeding the bit generator.
     """
-    u, v = np.array([np.random.default_rng(seed + r).uniform(size=(2, 6))
-                     for r in range(n_restarts)]).transpose(1, 0, 2)
+    raw = np.array([np.random.PCG64(seed + r).random_raw(12) for r in range(n_restarts)])
+    u, v = ((raw >> 11) * 2.0 ** -53).reshape(-1, 2, 6).transpose(1, 0, 2)
     ct, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
@@ -168,88 +183,98 @@ class _Objective:
         g = partial.reshape(-1, 2, 4)[..., 1:] * self.r[2 * party:2 * party + 2, None]
         return self.orientation[:, None, None] * g
 
-    def rotation_derivatives(self, d: np.ndarray, coords: np.ndarray):
-        """Gradient (batch, n) and Hessian (batch, n, n) of the value at
-        rotation coordinates x = 0, where direction s turns to exp([w_s]x) d_s
-        and the six rotation vectors are w = coords @ x, ``coords``
-        (batch, 18, n) from ``_rotation_coordinates``.
+    def rotation_derivatives(self, d: np.ndarray, rotations: _Rotations):
+        """Value (batch,), gradient (batch, n) and Hessian (batch, n, n) at
+        rotation coordinates x = 0, where direction s turns to
+        exp([w_s]x) d_s and the six rotation vectors are w = tied @ x, each
+        free direction's projected off the direction itself.
 
-        A direction turns by w x d = -[d]x w, so its gradient is d x g, g the
+        A direction turns by w x d = -[d]x w, so the Jacobian of h_p in its
+        rotation vector is -r [d]x, and its gradient is d x g, g the
         direction gradient.  The operator is linear in each party's
-        homogeneous vector h_p, so the Hessian has two parts: between parties
-        p and p + 1, their 8x8 block of second derivatives (the third party
-        contracted) taken to rotation coordinates by the Jacobians -r [d]x of
-        both sides, and for each direction the second order of its rotation,
-        (g d^T + d g^T)/2 - (g.d) I.  The blocks are h_{p+2} @ cyclic[p], as in
-        ``_partial``, one matmul for all three parties; the rest is one small
-        matrix per row, or exact products with the 0/+-1 cross-product constants.
+        homogeneous vector h_p, so the Hessian has two parts: between
+        parties p and p + 1, their 8x8 block of second derivatives (the
+        third party contracted) taken through both Jacobians, and for each
+        direction the second order of its rotation,
+        (g d^T + d g^T)/2 - (g.d) I.  A turn about d leaves d in place, so
+        that coordinate carries no gradient and no curvature at a maximum,
+        yet away from one the second order of exp couples it to the others;
+        projected off d, a free direction's own block is -(g.d)(I - d d^T),
+        and the step is Newton's on the sphere.  The blocks are
+        h_{p+2} @ cyclic[p], as in ``_partial``, one matmul for all three
+        parties, and the value is h_0 . d value / dh_0.  Every other map is
+        a product with the 0/+-1 constants of ``rotations`` or one small
+        matrix per row, so the numpy calls do not grow with the batch.
         """
-        batch = len(d)
+        batch, n = len(d), rotations.tied.shape[1]
         h = self._homogeneous(d).swapaxes(0, 1)                  # (3, batch, 8)
         third = h[[2, 0, 1]] * self.orientation[:, None]
         pair = (third @ self.cyclic).reshape(3, batch, 8, 8)     # d2 value / dh_p dh_{p+1}
         dh = np.einsum("pbij,pbj->pbi", pair, h[[1, 2, 0]])      # d value / dh_p
-        g = dh.reshape(3, batch, 2, 4)[..., 1:].swapaxes(0, 1) * self.r.reshape(3, 2, 1)
-        # gd[s] = g_s d_s^T: the gradient d x g is its cross-product part
-        gd = g.reshape(-1, 3, 1) * d.reshape(-1, 1, 3)
-        grad = -(gd.reshape(-1, 9) @ _LEVI.T).reshape(batch, 1, 18)
-        # jac[p, b, (a, 1 + i), (a, k)] = d h_p[a, 1 + i] / d w_{p,a}[k] = -r [d]x
-        cross = (d.reshape(-1, 3) @ _CROSS_MATRIX).reshape(batch, 3, 2, 3, 3).swapaxes(0, 1)
-        cross *= -self.r.reshape(3, 1, 2, 1, 1)
-        jac = np.zeros((3, batch, 2, 4, 2, 3))
-        jac[:, :, [0, 1], 1:, [0, 1]] = cross.transpose(2, 0, 1, 3, 4)
-        jac = jac.reshape(3, batch, 8, 6)
-        between = jac.swapaxes(-1, -2) @ pair @ jac[[1, 2, 0]]  # party blocks (p, p + 1)
-        hess = np.zeros((batch, 3, 6, 3, 6))
-        hess[:, [0, 1, 2, 1, 2, 0], :, [1, 2, 0, 0, 1, 2]] = np.concatenate(
-            [between, between.swapaxes(-1, -2)])
-        same = gd + gd.swapaxes(1, 2)
-        same.reshape(-1, 9)[:, ::4] -= np.trace(same, axis1=1, axis2=2)[:, None]
-        hess = hess.reshape(batch, 6, 3, 6, 3)
-        hess[:, np.arange(6), :, np.arange(6)] = 0.5 * same.reshape(batch, 6, 3, 3).swapaxes(0, 1)
-        hess = hess.reshape(batch, 18, 18)
-        return (grad @ coords)[:, 0], coords.swapaxes(1, 2) @ hess @ coords
+        value = np.einsum("bi,bi->b", h[0], dh[0])
+        jac = (h @ rotations.jacobian).reshape(3, batch, 8, n)   # d h_p / dx
+        jac_t = jac.swapaxes(-1, -2)
+        grad = (jac_t @ dh[..., None]).sum(axis=0)[..., 0]
+        # the Hessian is m + m^T: m holds the (p, p + 1) blocks once and half
+        # of each direction's own block, x d^T - (g.d) I with x = g, or
+        # (g.d) d if the direction is free, summed over each group
+        g = dh.reshape(3, batch, 2, 4)[..., 1:].swapaxes(0, 1).reshape(batch, 6, 3)
+        g *= 0.5 * self.r[:, None]                               # halved
+        g_dot_d = np.einsum("bsi,bsi->bs", g, d)
+        x = np.where(rotations.free[:, None], g_dot_d[..., None] * d, g)
+        x_n = (x.reshape(batch, 18) @ rotations.spread).reshape(batch, n, 6)
+        d_n = (d.reshape(batch, 18) @ rotations.spread_t).reshape(batch, 6, n)
+        m = (jac_t @ pair @ jac[[1, 2, 0]]).sum(axis=0)
+        m += x_n @ d_n
+        m.reshape(batch, -1)[:, ::n + 1] -= g_dot_d @ rotations.diagonal
+        return value, grad, m + m.swapaxes(1, 2)
 
 
-def _tied_rotations(constraints) -> tuple:
-    """(tied, free): the (18, n) map from the Newton step's n rotation
-    coordinates to the six directions' rotation vectors, where a free
-    direction has its own and a held pair turns as one, which keeps its
-    relative angle; and which of the six directions are free."""
+class _Rotations(NamedTuple):
+    """The Newton step's n rotation coordinates x for one set of angle
+    constraints: a free direction has its own three and a held pair turns
+    as one, which keeps its relative angle.  Groups are the free directions
+    and the held pairs, in slot order, three coordinates each."""
+    tied: np.ndarray      # (18, n): the six rotation vectors are w = tied @ x
+    free: np.ndarray      # (6,): which directions are free
+    jacobian: np.ndarray  # (3, 8, 8 n): h_p @ jacobian[p] is d h_p / dx, flat
+    spread: np.ndarray    # (18, 6 n): (v @ spread)[(k, i), s] = v_s[i] if s is in group k
+    spread_t: np.ndarray  # (18, 6 n): the same, laid out [s, (k, i)]
+    diagonal: np.ndarray  # (6, n): (c @ diagonal)[(k, i)] sums c_s over group k
+
+
+def _tied_rotations(constraints) -> _Rotations:
     free = np.array([constraints[slot // 2] is None for slot in range(6)])
     group = np.cumsum(free | (np.arange(6) % 2 == 0)) - 1
-    return np.kron(np.eye(group[-1] + 1)[group], np.eye(3)), free
-
-
-def _rotation_coordinates(d: np.ndarray, tied: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """(batch, 18, n): ``tied`` with each free direction's rotation vector
-    projected off the direction itself.  A turn about d leaves d in place,
-    so that coordinate carries no gradient and no curvature at a maximum,
-    yet away from one the second order of exp couples it to the others;
-    projected out, the step is Newton's on the sphere."""
-    if not free.any():
-        return np.broadcast_to(tied, (len(d),) + tied.shape)
-    proj = np.eye(3) - free[:, None, None] * (d[..., :, None] * d[..., None, :])
-    return (proj @ tied.reshape(6, 3, -1)).reshape(len(d), 18, -1)
+    member = np.eye(group[-1] + 1)[group]                   # (6, groups)
+    tied = np.kron(member, _EYE3)
+    n = tied.shape[1]
+    jacobian = (_JACOBIAN.reshape(64, 6) @ tied.reshape(3, 6, n)).reshape(3, 8, 8 * n)
+    spread = np.einsum("sk,ij,st->sikjt", member, _EYE3, np.eye(6))    # (s, i), (k, j, t)
+    return _Rotations(tied, free, jacobian, spread.reshape(18, -1),
+                      spread.transpose(0, 1, 4, 2, 3).reshape(18, -1),
+                      np.repeat(member, 3, axis=1))
 
 
 def _rotate(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each direction of ``d`` (batch, 6, 3) turned by its rotation vector in
     ``w`` (Rodrigues): with t = |w|,
     d cos t + (w x d) sin(t)/t + w (w.d) (1 - cos t)/t^2,
-    where (1 - cos t)/t^2 = 2 (sin(t/2)/t)^2 keeps its precision at small t."""
-    t = np.sqrt((w * w).sum(axis=-1, keepdims=True))
+    where (1 - cos t)/t^2 = 2 (sin(t/2)/t)^2 keeps its precision at small t.
+    w x d is one difference of two rounded products per component, the
+    factors gathered by exact permutation matmuls."""
+    t = np.sqrt(np.einsum("...i,...i->...", w, w))[..., None]
     safe = np.maximum(t, _TINY)             # w = 0 has w x d = 0 and w.d = 0
     half = np.sin(0.5 * t) / safe
+    products = (w.reshape(-1, 3) @ _CROSS_LEFT) * (d.reshape(-1, 3) @ _CROSS_RIGHT)
     turned = np.cos(t) * d
-    w_x_d = ((w[..., :, None] * d[..., None, :]).reshape(-1, 9) @ _LEVI.T).reshape(d.shape)
-    turned += np.sin(t) / safe * w_x_d
-    turned += 2.0 * half * half * (w * d).sum(axis=-1, keepdims=True) * w
+    turned += np.sin(t) / safe * (products[:, :3] - products[:, 3:]).reshape(d.shape)
+    turned += 2.0 * half * half * np.einsum("...i,...i->...", w, d)[..., None] * w
     return turned
 
 
-def _newton_step(objective: _Objective, d: np.ndarray, values: np.ndarray,
-                 tied: np.ndarray, free: np.ndarray, tol: float) -> np.ndarray:
+def _newton_step(objective: _Objective, d: np.ndarray, rotations: _Rotations,
+                 tol: float) -> np.ndarray:
     """One Newton step in rotation coordinates, kept on the rows where it
     raises the value; returns the values and updates ``d`` in place.
 
@@ -258,31 +283,40 @@ def _newton_step(objective: _Objective, d: np.ndarray, values: np.ndarray,
     indefinite (a negative determinant: an odd number of negative
     eigenvalues) or otherwise not climbing, and plain Newton would head for
     a saddle there, so they take the step with every eigenvalue of -H
-    replaced by its absolute value, as in saddle-free Newton.  A row's step
-    is scaled down so that no direction turns by more than _MAX_TURN, and a
-    row whose step promised a first-order gain above ``tol`` but did not
-    climb tries a quarter of it.
+    replaced by its absolute value, as in saddle-free Newton (Dauphin et
+    al., 2014).  That step moves each eigendirection by g.v / |lambda|, which
+    near a saddle, where the gradient is small, barely moves; so each
+    direction of negative curvature (lambda < -shift) gets a coefficient of
+    at least _MAX_TURN, signed like its gradient component, and leaves the
+    saddle in one step.  A row's step is scaled down so that no direction
+    turns by more than _MAX_TURN, and a row whose step promised a
+    first-order gain above ``tol`` but did not climb tries a quarter of it.
     """
-    coords = _rotation_coordinates(d, tied, free)
-    grad, hess = objective.rotation_derivatives(d, coords)
+    values, grad, hess = objective.rotation_derivatives(d, rotations)
     shift = 1e-12 * np.abs(np.trace(hess, axis1=1, axis2=2))
     shift[shift == 0.0] = 1.0                  # H = 0 (a zero tensor): A = I
-    system = shift[:, None, None] * np.eye(grad.shape[1]) - hess
+    system = -hess
+    system.reshape(len(hess), -1)[:, ::hess.shape[1] + 1] += shift[:, None]
     solvable = np.linalg.slogdet(system)[0] > 0.0
     step = np.zeros_like(grad)
     step[solvable] = np.linalg.solve(system[solvable], grad[solvable, :, None])[..., 0]
-    bad = ~((step * grad).sum(axis=1) > 0.0)
+    bad = ~(np.einsum("bi,bi->b", step, grad) > 0.0)
     if bad.any():
         lam, vec = np.linalg.eigh(-hess[bad])
-        coef = (grad[bad, None] @ vec)[:, 0] / (np.abs(lam) + shift[bad, None])
+        proj = (grad[bad, None] @ vec)[:, 0]
+        coef = proj / (np.abs(lam) + shift[bad, None])
+        coef = np.where(lam < -shift[bad, None],
+                        np.copysign(np.maximum(np.abs(coef), _MAX_TURN), proj), coef)
         step[bad] = (vec @ coef[..., None])[..., 0]
-    w = (coords @ step[..., None]).reshape(-1, 6, 3)
-    turn = np.sqrt((w * w).sum(axis=-1).max(axis=1))
+    w = (step @ rotations.tied.T).reshape(-1, 6, 3)
+    if rotations.free.any():                   # off each free direction
+        w -= rotations.free[:, None] * np.einsum("bsi,bsi->bs", w, d)[..., None] * d
+    turn = np.sqrt(np.einsum("bsi,bsi->bs", w, w).max(axis=1))
     w *= (_MAX_TURN / np.maximum(turn, _MAX_TURN))[:, None, None]
     rotated = _rotate(d, w)
     new_values = objective.value(rotated)
     up = new_values > values
-    retry = ~up & ((step * grad).sum(axis=1) > tol)
+    retry = ~up & (np.einsum("bi,bi->b", step, grad) > tol)
     if retry.any():
         shorter = _rotate(d, 0.25 * w)
         shorter_values = objective.value(shorter)
@@ -382,10 +416,10 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
                 _update_free(d, slot, g)
             else:
                 _update_pair(d, slot, float(theta), g)
-        new_values = objective.value(d)
         if sweeps >= _POLISH_FROM:
-            new_values = _newton_step(objective, d, new_values, *rotations,
-                                      config.convergence_tol)
+            new_values = _newton_step(objective, d, rotations, config.convergence_tol)
+        else:
+            new_values = objective.value(d)
         if trace is not None:
             trace.append(new_values.copy())
         improvement = np.max(new_values - values)

@@ -12,7 +12,7 @@ from bell3q import (CorrelationDecomposition, SeeSawConfig, Strengths, ThreeQubi
 from bell3q.mermin import _t_svals, build_v_matrix, equal_strength_angles
 from bell3q.observables import OPERATORS
 from bell3q.oracle import (_Objective, _initial_directions, _newton_step, _rotate,
-                           _rotation_coordinates, _run_seesaw, _tied_rotations, _update_pair)
+                           _run_seesaw, _tied_rotations, _update_pair)
 from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
 
@@ -48,6 +48,17 @@ def dense_value(rho, setting, kind):
 
 
 class TestSeeSaw:
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 3, 2**40])
+    @pytest.mark.parametrize("restarts", [1, 8])
+    def test_initial_directions_use_each_restarts_generator(self, seed, restarts):
+        # the replaced draw, kept as the reference: bit for bit the same uniforms
+        u, v = np.array([np.random.default_rng(seed + r).uniform(size=(2, 6))
+                         for r in range(restarts)]).transpose(1, 0, 2)
+        ct, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
+        st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
+        expected = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+        np.testing.assert_array_equal(_initial_directions(seed, restarts), expected)
+
     def test_maximally_mixed_is_zero(self):
         result = see_saw_maximize(mixed_decomp(), Strengths.uniform(0.7), np.zeros(6),
                                   "mermin", SeeSawConfig(restarts=3, seed=0))
@@ -346,6 +357,14 @@ class TestUpdatePair:
         np.testing.assert_allclose(d2[generic], ch * e1 - sh * e2, rtol=0, atol=1e-12)
 
 
+def rotation_coordinates(d, tied, free):
+    """(batch, 18, n): the rotation vectors w = coords @ x of the Newton
+    step's coordinates x, ``tied`` with each free direction's projected off
+    the direction itself."""
+    proj = np.eye(3) - free[:, None, None] * (d[..., :, None] * d[..., None, :])
+    return (proj @ tied.reshape(6, 3, -1)).reshape(len(d), 18, -1)
+
+
 class TestNewtonPolish:
     """The Newton step that follows each alternating sweep from the sixth on."""
 
@@ -367,8 +386,9 @@ class TestNewtonPolish:
         # central differences of the value along the rotation coordinates
         objective = self.objective(kind, biased)
         d = _initial_directions(4, 3)
-        coords = _rotation_coordinates(d, *_tied_rotations(angles))
-        grad, hess = objective.rotation_derivatives(d, coords)
+        rotations = _tied_rotations(angles)
+        coords = rotation_coordinates(d, rotations.tied, rotations.free)
+        _, grad, hess = objective.rotation_derivatives(d, rotations)
         n, h = coords.shape[2], 1e-4
 
         def value(x):
@@ -385,13 +405,23 @@ class TestNewtonPolish:
 
     @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
     @pytest.mark.parametrize("angles", CONSTRAINTS)
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_value_matches_the_objective(self, kind, angles, biased):
+        # h_0 . d value / dh_0 sums in another order than value(), so to rounding
+        objective = self.objective(kind, biased)
+        d = _initial_directions(6, 3)
+        value, _, _ = objective.rotation_derivatives(d, _tied_rotations(angles))
+        np.testing.assert_allclose(value, objective.value(d), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("angles", CONSTRAINTS)
     def test_step_turns_held_pairs_rigidly(self, kind, angles):
         objective = self.objective(kind, False)
         d = _initial_directions(5, 3)
         # two sweeps put the held pairs on their angles
         _run_seesaw(objective, d, SeeSawConfig(max_sweeps=2, angle_constraints=angles))
         before = objective.value(d)
-        values = _newton_step(objective, d, before, *_tied_rotations(angles), 1e-12)
+        values = _newton_step(objective, d, _tied_rotations(angles), 1e-12)
         assert np.all(values >= before) and np.any(values > before)
         np.testing.assert_array_equal(values, objective.value(d))
         np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, rtol=0, atol=1e-12)
@@ -399,6 +429,64 @@ class TestNewtonPolish:
             if theta is not None:
                 cos = np.einsum("bi,bi->b", d[:, 2 * party], d[:, 2 * party + 1])
                 np.testing.assert_allclose(cos, np.cos(theta), rtol=0, atol=1e-12)
+
+    @staticmethod
+    def at_aligned_maximum(kind, angles=None):
+        """(objective, objective with s1(T) and s2(T) exchanged, rotations,
+        directions, (c1, c2)): T = 0.9 u1 q1^T + 0.5 u2 q2^T + 0.2 u3 q3^T is
+        aligned with the coefficient matrix C of the equal-strength angles, and
+        the four rows are at a held see-saw's maximum, which pairs s_i(T) with
+        c_i = s_i(C).  Every s1 > s2 > s3 has that maximum, so the gradient of
+        each term vanishes there: for the exchanged tensor it is a critical
+        point of value 0.5 c1 + 0.9 c2, (0.9 - 0.5)(c1 - c2) below its maximum."""
+        op = OPERATORS[kind]
+        st = Strengths.equal(0.9, 0.8, 0.7)
+        coeff = op.coefficient_matrix(st, op.closed_form("equal_strength_angles")(0.9, 0.5))
+        angles = tuple(angles or op.closed_form("equal_strength_angles")(0.9, 0.5))
+
+        def objective(s1, s2):
+            t = saturable_tensor(np.random.default_rng(5), coeff, s1, s2, 0.2)
+            return _Objective(decomposition_from_t(t.reshape(3, 3, 3)), st.as_array(),
+                              np.zeros(6), op.signs, np.ones(4))
+
+        top = objective(0.9, 0.5)
+        d = _initial_directions(3, 4)
+        _, _, hit_max, _ = _run_seesaw(top, d, SeeSawConfig(angle_constraints=angles,
+                                                            convergence_tol=1e-14))
+        assert not hit_max
+        c = np.linalg.svd(coeff, compute_uv=False)[:2]
+        return top, objective(0.5, 0.9), _tied_rotations(angles), d, c
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    def test_one_step_leaves_a_saddle(self, kind):
+        # a zero gradient gave a zero saddle-free step, so the row stayed put
+        _, swapped, rotations, d, (c1, c2) = self.at_aligned_maximum(kind)
+        before, grad, hess = swapped.rotation_derivatives(d, rotations)
+        np.testing.assert_allclose(before, 0.5 * c1 + 0.9 * c2, rtol=1e-12)
+        assert np.abs(grad).max() < 1e-7
+        shift = 1e-12 * np.abs(np.trace(hess, axis1=1, axis2=2))
+        assert np.all(np.linalg.eigvalsh(-hess)[:, 0] < -shift)
+        values = _newton_step(swapped, d, rotations, 1e-12)
+        assert np.all(values - before > 0.02 * (0.9 - 0.5) * (c1 - c2))
+        np.testing.assert_array_equal(values, swapped.value(d))
+        np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, rtol=0, atol=1e-12)
+        angles = OPERATORS[kind].closed_form("equal_strength_angles")(0.9, 0.5)
+        for party, theta in enumerate(angles):
+            cos = np.einsum("bi,bi->b", d[:, 2 * party], d[:, 2 * party + 1])
+            np.testing.assert_allclose(cos, np.cos(theta), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, angles", [("mermin", None),
+                                              ("svetlichny", (0.0, np.pi, 1.0))])
+    def test_converged_rows_stay(self, kind, angles):
+        # -H has an exactly flat direction here: a turn that keeps every direction
+        top, _, rotations, d, _ = self.at_aligned_maximum(kind, angles)
+        before, _, hess = top.rotation_derivatives(d, rotations)
+        lam = np.linalg.eigvalsh(-hess)
+        assert np.all(np.abs(lam[:, 0]) < 1e-12 * lam[:, -1])
+        start = d.copy()
+        values = _newton_step(top, d, rotations, 1e-12)
+        assert np.all(values >= before)
+        np.testing.assert_allclose(d, start, rtol=0, atol=1e-15)
 
     def test_near_degenerate_held_climbs_converge(self):
         # criterion 6's draws at s2 = 0.97 s1: alternating ascent alone stops at
