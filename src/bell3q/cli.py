@@ -429,15 +429,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Options whose value is a comma list of numbers.  argparse takes a token
 # that starts with '-' for an option unless it is one plain negative number,
-# so a list such as ``--biases -0.3,0,0,0,0,0`` is joined to its option,
-# as ``--biases=-0.3,0,0,0,0,0``, before parsing.
+# so a list such as ``--biases -0.3,0,0,0,0,0`` is joined to its option, or
+# to any abbreviation of it, as ``--biases=-0.3,0,0,0,0,0``, before parsing.
+# An ambiguous abbreviation is then rejected by argparse, as with '='.
 _NUMBER_LISTS = ("--strengths", "--angles", "--biases", "--range")
+_NEGATIVE_LIST = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
 
 def _join_negative_lists(argv) -> list:
     joined = []
     for token in argv:
-        if joined and joined[-1] in _NUMBER_LISTS and re.match(r"-[\d.]", token):
+        option = joined[-1] if joined else ""
+        if (len(option) > 2 and any(name.startswith(option) for name in _NUMBER_LISTS)
+                and _NEGATIVE_LIST.match(token)):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -125,99 +125,16 @@ class SeeSawResult:
     trace: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _uint128(values) -> tuple:
-    """(high, low) uint64 arrays of nonnegative integers below 2**128."""
-    return (np.array([v >> 64 for v in values], np.uint64),
-            np.array([v & (1 << 64) - 1 for v in values], np.uint64))
-
-
-def _running_hash(start: int, mult: int, count: int) -> tuple:
-    """SeedSequence's running hash constant before and after each of
-    ``count`` steps, as uint32 columns."""
-    h = [start]
-    for _ in range(count):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
-
-
-# numpy's SeedSequence and PCG64 constants (bit_generator.pyx, pcg64.h)
-_DRAWS = 12                                             # two uniforms per direction
-_BULK_SEEDING = 16                                      # restarts from which _pcg64_draws pays
-_POOL_HASH = _running_hash(0x43B0D7E5, 0x931E8875, 16)  # mix_entropy: fill, then mix
-_STATE_HASH = _running_hash(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, uint64)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_PCG_MULT_128 = _uint128([_PCG_MULT])
-# the k-th draw of a stream seeded at state s reads state M^k s + (1 + ... + M^(k-1)) inc
-_PCG_JUMP = _uint128([pow(_PCG_MULT, k, 1 << 128) for k in range(1, _DRAWS + 1)])
-_PCG_SERIES = _uint128([sum(pow(_PCG_MULT, j, 1 << 128) for j in range(k)) % (1 << 128)
-                        for k in range(1, _DRAWS + 1)])
-
-
-def _hashmix(v: np.ndarray, table: tuple, rows: slice) -> np.ndarray:
-    v = (v ^ table[0][rows]) * table[1][rows]           # uint32 arithmetic wraps
-    return v ^ v >> np.uint32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return r ^ r >> np.uint32(16)
-
-
-def _mul128(a: tuple, b: tuple) -> tuple:
-    """a * b mod 2**128 on (high, low) uint64 pairs."""
-    (ah, al), (bh, bl) = a, b
-    m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-    x0, x1, y0, y1 = al & m32, al >> s32, bl & m32, bl >> s32
-    p01, p10 = x0 * y1, x1 * y0
-    mid = (x0 * y0 >> s32) + (p01 & m32) + (p10 & m32)
-    high = x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    return high + ah * bl + al * bh, al * bl
-
-
-def _add128(a: tuple, b: tuple) -> tuple:
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < a[1]), low
-
-
-def _pcg64_draws(seeds) -> np.ndarray:
-    """(len(seeds), _DRAWS): np.random.PCG64(s).random_raw(_DRAWS) for each
-    seed below 2**128, bit for bit, as array arithmetic over all seeds:
-    SeedSequence hashes the seed's 32-bit words (zero-padded to its pool of
-    four) into four uint64 words, which seed PCG64's state and increment;
-    each draw is then one jump ahead from the seeded state."""
-    words = np.array([[s >> shift & 0xFFFFFFFF for s in seeds] for shift in (0, 32, 64, 96)],
-                     np.uint32)
-    pool = _hashmix(words, _POOL_HASH, slice(0, 4))
-    for src in range(4):                                # into the other three, in turn
-        rows = slice(4 + 3 * src, 7 + 3 * src)
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_HASH, rows))
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH, slice(None)).astype(np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = state[0::2] | state[1::2] << np.uint64(32)
-    inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
-    s0 = _add128(_mul128(_add128(inc, (init_hi, init_lo)), _PCG_MULT_128), inc)
-    hi, lo = _add128(_mul128((s0[0][:, None], s0[1][:, None]), _PCG_JUMP),
-                     _mul128((inc[0][:, None], inc[1][:, None]), _PCG_SERIES))
-    x, rot = hi ^ lo, hi >> np.uint64(58)               # XSL-RR output
-    return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-
-
 def _initial_directions(seed: int, n_restarts: int) -> np.ndarray:
     """(n_restarts, 6, 3) unit vectors; restart r uses generator seed + r.
 
     Sphere sampling via cos(theta) = 2u - 1, phi = 2 pi v avoids pole bias.
-    u and v are default_rng(seed + r).uniform(size=(2, 6)): each uniform is
-    the top 53 bits of one 64-bit PCG64 output times 2^-53.  Seeding one
-    generator per restart costs about 13 us a restart, and
-    ``_pcg64_draws`` about 300 us plus 4 us a restart, so it makes the
-    outputs from _BULK_SEEDING restarts on (seeds below 2**128, which fit
-    SeedSequence's pool).
+    u and v are default_rng(seed + r).uniform(size=(2, 6)), read straight
+    from its PCG64 stream: each uniform is the top 53 bits of one 64-bit
+    output times 2^-53.  Skipping the Generator saves about a seventh of a
+    restart's draw; the rest is seeding the bit generator.
     """
-    seeds = range(seed, seed + n_restarts)
-    if n_restarts >= _BULK_SEEDING and seed + n_restarts <= 1 << 128:
-        raw = _pcg64_draws(seeds)
-    else:
-        raw = np.array([np.random.PCG64(s).random_raw(_DRAWS) for s in seeds])
+    raw = np.array([np.random.PCG64(seed + r).random_raw(12) for r in range(n_restarts)])
     u, v = ((raw >> 11) * 2.0 ** -53).reshape(-1, 2, 6).transpose(1, 0, 2)
     ct, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
@@ -305,11 +222,11 @@ class _Objective:
         g *= 0.5 * self.r[:, None]                               # halved
         g_dot_d = np.einsum("bsi,bsi->bs", g, d)
         x = np.where(rotations.free[:, None], g_dot_d[..., None] * d, g)
-        x_n = (x.reshape(batch, 18) @ rotations.spread).reshape(batch, n, 6)
-        d_n = (d.reshape(batch, 18) @ rotations.spread_t).reshape(batch, 6, n)
+        x_n, d_n = (np.stack([x, d]).reshape(2, batch, 18) @ rotations.spread).reshape(
+            2, batch, n, 6)
         m = (jac_t @ pair @ jac[[1, 2, 0]]).sum(axis=0)
-        m += x_n @ d_n
-        m.reshape(batch, -1)[:, ::n + 1] -= g_dot_d @ rotations.diagonal
+        m += x_n @ d_n.swapaxes(1, 2)
+        m.reshape(batch, -1)[:, ::n + 1] -= g_dot_d @ rotations.tied.reshape(6, 3, n).sum(axis=1)
         return value, grad, m + m.swapaxes(1, 2)
 
 
@@ -322,8 +239,6 @@ class _Rotations(NamedTuple):
     free: np.ndarray      # (6,): which directions are free
     jacobian: np.ndarray  # (3, 8, 8 n): h_p @ jacobian[p] is d h_p / dx, flat
     spread: np.ndarray    # (18, 6 n): (v @ spread)[(k, i), s] = v_s[i] if s is in group k
-    spread_t: np.ndarray  # (18, 6 n): the same, laid out [s, (k, i)]
-    diagonal: np.ndarray  # (6, n): (c @ diagonal)[(k, i)] sums c_s over group k
 
 
 def _tied_rotations(constraints) -> _Rotations:
@@ -334,9 +249,7 @@ def _tied_rotations(constraints) -> _Rotations:
     n = tied.shape[1]
     jacobian = (_JACOBIAN.reshape(64, 6) @ tied.reshape(3, 6, n)).reshape(3, 8, 8 * n)
     spread = np.einsum("sk,ij,st->sikjt", member, _EYE3, np.eye(6))    # (s, i), (k, j, t)
-    return _Rotations(tied, free, jacobian, spread.reshape(18, -1),
-                      spread.transpose(0, 1, 4, 2, 3).reshape(18, -1),
-                      np.repeat(member, 3, axis=1))
+    return _Rotations(tied, free, jacobian, spread.reshape(18, -1))
 
 
 def _rotate(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -359,7 +272,11 @@ def _rotate(d: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _newton_step(objective: _Objective, d: np.ndarray, rotations: _Rotations,
                  tol: float) -> np.ndarray:
     """One Newton step in rotation coordinates, kept on the rows where it
-    raises the value; returns the values and updates ``d`` in place.
+    raises the value; returns the values and updates ``d`` in place.  A row
+    whose step is not kept returns the value from ``rotation_derivatives``:
+    ``objective.value``'s products and sums with the +-1 orientation applied
+    first, so the same number unless numpy orders a stacked matmul's sums
+    differently from a single one (bit-identical on every batch tested).
 
     With A = -H + 1e-12 |tr H| I, the step solves A x = gradient on the rows
     where det A > 0 and x is an ascent direction.  The other rows are
@@ -538,6 +455,9 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     The returned value is |expectation| at the returned setting.  Both operator
     signs are climbed at nonzero biases; at zero biases -<operator> is
     +<operator> with X negated.  Non-decreasing per restart after sweep 1.
+    From the sixth sweep on the values come from the Newton step's
+    derivatives, which could differ from a direct evaluation only by
+    rounding (see ``_newton_step``).
     """
     r = strengths.as_array()
     b = np.asarray(biases, dtype=float)

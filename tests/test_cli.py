@@ -43,6 +43,11 @@ class TestBound:
         spaced = run(common + ["--biases", "-0.3,0,0,0,0,0"], capsys)
         joined = run(common + ["--biases=-0.3,0,0,0,0,0"], capsys)
         assert spaced[0] == 0 and spaced == joined
+        assert run(common + ["--bias", "-0.3,0,0,0,0,0"], capsys) == joined  # abbreviated
+        code, _, err = run(common + ["--biases", "-inf,0,0,0,0,0"], capsys)
+        assert code == 2 and "--biases: values must be finite" in err
+        code, _, err = run(common + ["--biases", "-NaN,0,0,0,0,0"], capsys)
+        assert code == 2 and "--biases: values must be finite" in err
         code, _, err = run(["bound", "--state", "ghz", "--angles", "-1,0,0"], capsys)
         assert code == 2 and "angles must lie in [0, pi]" in err
 
