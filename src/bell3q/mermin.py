@@ -73,41 +73,57 @@ def _i_coefficients(s: Strengths):
     return i0, ixy_z, ixz_y, iyz_x
 
 
-def _clamp_square(value, what: str):
-    """Clamp tiny negative squares to 0; anything more negative is a bug."""
-    bad = np.min(value) if np.ndim(value) else value
-    if bad < -CLAMP_TOL:
+def _root(square, what: str):
+    """sqrt of a closed form's square, rounding below 0 clamped; in place for arrays."""
+    array = isinstance(square, np.ndarray)
+    if (bad := square.min() if array else square) < -CLAMP_TOL:
         raise ConsistencyError(f"{what} evaluated to {bad:.3e} < -{CLAMP_TOL:.0e}")
-    return np.maximum(value, 0.0)
+    return (np.sqrt(np.maximum(square, 0.0, out=square), out=square) if array
+            else float(np.sqrt(max(square, 0.0))))
 
 
-def _swing(strengths: Strengths, tx, ty, tz, scale: float, letter: str):
-    """scale R_X R_X' sin(tx) sqrt(radicand): the radical that I+- and J+- share."""
-    rx, rxp, ry, ryp, rz, rzp = strengths.as_array()
-    radicand = (ry**2 * ryp**2 * (rz**4 + rzp**4) * np.sin(ty) ** 2
-                + rz**2 * rzp**2 * (ry**4 + ryp**4) * np.sin(tz) ** 2
-                + (ry * ryp * rz * rzp) ** 2 * (1.0 - np.cos(2 * ty) * np.cos(2 * tz)))
-    radicand = _clamp_square(radicand, f"inner radicand of the {letter}+- closed form")
-    return scale * rx * rxp * np.sin(tx) * np.sqrt(radicand)
+class IForm:
+    """I+- = s1(V) +- s2(V) = sqrt(base +- swing) at one strength tuple, and ``pair``
+    with (s1, s2) of T; ``svetlichny.JForm`` changes the base and scale.  Strength
+    products are taken once, so each layout of the angles gets the same floats."""
 
+    letter, scale = "I", 2.0
+    _coefficients = staticmethod(_i_coefficients)
 
-def _root_pair(base, swing, letter: str):
-    """(sqrt(base + swing), sqrt(base - swing)), floats for scalar input."""
-    plus2 = _clamp_square(base + swing, f"{letter}_plus^2")
-    minus2 = _clamp_square(base - swing, f"{letter}_minus^2")
-    plus, minus = np.sqrt(plus2), np.sqrt(minus2)
-    if np.ndim(plus) == 0:
-        return float(plus), float(minus)
-    return plus, minus
+    def __init__(self, strengths: Strengths, s1=0.0, s2=0.0):
+        rx, rxp, ry, ryp, rz, rzp = strengths.as_array()
+        self.weights = (0.5 * (s1 + s2), 0.5 * (s1 - s2))
+        self.swing = self.scale * rx * rxp
+        self.radicand = (ry**2 * ryp**2 * (rz**4 + rzp**4), rz**2 * rzp**2 * (ry**4 + ryp**4),
+                         (ry * ryp * rz * rzp) ** 2)
+        self.coefficients = self._coefficients(strengths)
+
+    def plus_minus(self, angles):
+        """(plus, minus) at broadcastable angles; floats for scalar angles."""
+        angles = [np.asarray(a, dtype=float) for a in angles]
+        return self.from_trig([np.cos(a) for a in angles], [np.sin(a) for a in angles],
+                              [np.cos(2 * a) for a in angles])
+
+    def from_trig(self, cos, sin, cos2):
+        """(plus, minus) from each angle's cos, sin and cos(2 theta)."""
+        (a, b, c), letter = self.radicand, self.letter
+        inner = a * sin[1] ** 2 + b * sin[2] ** 2 + c * (1.0 - cos2[1] * cos2[2])
+        # swing = scale R_X R_X' sin(tx) sqrt(inner): the radical that I+- and J+- share
+        swing = self.swing * sin[0] * _root(inner, f"inner radicand of the {letter}+- closed form")
+        base = self._base(*cos)
+        return _root(base + swing, f"{letter}_plus^2"), _root(base - swing, f"{letter}_minus^2")
+
+    def pair(self, plus, minus):
+        return self.weights[0] * plus + self.weights[1] * minus
+
+    def _base(self, cx, cy, cz):
+        i0, ixy_z, ixz_y, iyz_x = self.coefficients
+        return i0 + 2.0 * (ixy_z * cx * cy + ixz_y * cx * cz + iyz_x * cy * cz)
 
 
 def i_plus_minus(strengths: Strengths, angles):
     """(s1(V) + s2(V), s1(V) - s2(V)) in closed form; angles broadcastable."""
-    tx, ty, tz = (np.asarray(a, dtype=float) for a in angles)
-    i0, ixy_z, ixz_y, iyz_x = _i_coefficients(strengths)
-    base = i0 + 2.0 * (ixy_z * np.cos(tx) * np.cos(ty) + ixz_y * np.cos(tx) * np.cos(tz)
-                       + iyz_x * np.cos(ty) * np.cos(tz))
-    return _root_pair(base, _swing(strengths, tx, ty, tz, 2.0, "I"), "I")
+    return IForm(strengths).plus_minus(angles)
 
 
 def mermin_bound_unbiased(t, strengths: Strengths, angles) -> BoundReport:
@@ -204,9 +220,8 @@ def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float) -> BoundRep
     out); reaches 2 sqrt(2) s_max at unit strengths.
     """
     st = strengths
-    i0, *_ = _i_coefficients(st)
-    gamma0 = _swing(st, np.pi / 2, np.pi / 2, np.pi / 2, 1.0, "I")
-    value = s_max * np.sqrt(i0 + 2.0 * gamma0)
+    # sqrt(I0 + 2 Gamma0) is I+ at orthogonal angles, taking cos = 0 there exactly
+    value = s_max * IForm(st).from_trig((0.0,) * 3, (1.0,) * 3, (-1.0,) * 3)[0]
     # stated optimum: tan(tx) = Rz Rz' (Ry^2 + Ry'^2) / (Ry Ry' (Rz^2 - Rz'^2)),
     # cos(ty) = sign(Rx - Rx'), tz = pi/2
     tx = float(np.arctan2(st.rz * st.rzp * (st.ry**2 + st.ryp**2),

@@ -17,6 +17,7 @@ Svetlichny) that pairs with the correlation matrix T.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import import_module
 
 import numpy as np
@@ -171,13 +172,13 @@ class Operator:
     where index 1 selects the primed observable.  The closed forms that differ
     between the operators live in the module ``bell3q.<name>``;
     ``closed_forms`` maps each role to its attribute name there, and
-    :meth:`closed_form` looks the attribute up at call time, so a replaced
+    :meth:`closed_form` looks the attribute up in it at call time, so a replaced
     module attribute is seen by every caller.  ``window_threshold`` is the
     value of sqrt(s1^2 + s2^2) that the biased window requires to be exceeded.
 
     The methods after :meth:`coefficient_matrix` are the operator-generic
     bounds.  Each takes the two largest singular values (s1, s2) of T and
-    pairs them with the record's ``plus_minus`` closed form.  The closed forms
+    pairs them through the record's ``pair_form``.  The closed forms
     the record names take (s1, s2), s_max or strengths only, never T itself,
     and each bound returns a :class:`BoundReport`.  :meth:`plus_bias_max` is
     the one place the T-state term ``bias_max`` is added to a bound.
@@ -192,8 +193,12 @@ class Operator:
     def __post_init__(self):
         self.signs.flags.writeable = False
 
+    @cached_property
+    def module(self):  # imported on first use, as it imports this module
+        return import_module(f".{self.name}", __package__)
+
     def closed_form(self, role: str):
-        return getattr(import_module(f".{self.name}", __package__), self.closed_forms[role])
+        return getattr(self.module, self.closed_forms[role])
 
     def coefficient_matrix(self, strengths, angles) -> np.ndarray:
         """The 3x9 matrix C with <operator> = sum C * (F_x T (F_y kron F_z)^T) for
@@ -209,9 +214,9 @@ class Operator:
 
     def pair_bound(self, s1, s2, strengths, angles):
         """0.5(s1+s2) P + 0.5(s1-s2) M = s1 s1(C) + s2 s2(C), with (P, M) the
-        ``plus_minus`` closed form; angles may be broadcastable arrays."""
-        plus, minus = self.closed_form("plus_minus")(strengths, angles)
-        return 0.5 * (s1 + s2) * plus + 0.5 * (s1 - s2) * minus
+        ``pair_form`` closed form; angles may be broadcastable arrays."""
+        form = self.closed_form("pair_form")(strengths, s1, s2)
+        return form.pair(*form.plus_minus(angles))
 
     def unbiased(self, s1, s2, strengths, angles) -> BoundReport:
         """s1(T) s1(C) + s2(T) s2(C) for unbiased observables, attained when a product
@@ -271,9 +276,10 @@ class Operator:
         """
         if resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {resolution!r}")
+        form = self.closed_form("pair_form")(strengths, s1, s2)
         coarse = np.linspace(0.0, np.pi, resolution)[::SEED_STRIDE]
-        values = self.pair_bound(s1, s2, strengths,
-                                 np.meshgrid(coarse, coarse, coarse, indexing="ij", sparse=True))
+        values = form.pair(*form.plus_minus(
+            np.meshgrid(coarse, coarse, coarse, indexing="ij", sparse=True)))
         flat = values.ravel()
         # the best points, ties toward the smallest index; kept in index order so
         # that argmax over the refined values breaks exact ties the same way
@@ -285,16 +291,18 @@ class Operator:
         steps = np.full(count, np.pi / (resolution - 1))
         width = 2 * STENCIL_HALF + 1
         offsets = np.arange(width) - STENCIL_HALF
+        strides = np.array([width * width, width, 1])
         rows = np.arange(count)
         for _ in range(SEARCH_ROUNDS):
             if steps.max() < STEP_MIN:
                 break
             axes = np.clip(best[:, :, None] + steps[:, None, None] * offsets, 0.0, np.pi)
-            trial = self.pair_bound(s1, s2, strengths, (
-                axes[:, 0, :, None, None], axes[:, 1, None, :, None], axes[:, 2, None, None, :]
-            )).reshape(count, -1)
+            trig = (np.cos(axes), np.sin(axes), np.cos(2 * axes))  # once per axis value
+            trial = form.pair(*form.from_trig(*(
+                (t[:, 0, :, None, None], t[:, 1, None, :, None], t[:, 2, None, None, :])
+                for t in trig))).reshape(count, -1)
             at = trial.argmax(axis=1)
-            index = np.stack(np.unravel_index(at, (width,) * 3), axis=1)  # (K, 3)
+            index = at[:, None] // strides % width  # (K, 3)
             top = trial[rows, at]
             improved = top > best_values
             best[improved] = axes[rows[:, None], np.arange(3), index][improved]
@@ -302,7 +310,7 @@ class Operator:
             on_edge = ((index == 0) | (index == width - 1)).any(axis=1)
             steps[~(improved & on_edge)] /= STEP_SHRINK
         angles = tuple(float(a) for a in best[int(np.argmax(best_values))])
-        return angles, float(self.pair_bound(s1, s2, strengths, angles))
+        return angles, float(form.pair(*form.plus_minus(angles)))
 
     def biased_window(self, p: float) -> tuple[float, float]:
         """(r_unbiased, r_biased) for equal strengths R and p = sqrt(s1^2 + s2^2).
@@ -336,7 +344,7 @@ OPERATORS = _OperatorLookup(
         classical_limit=2.0,
         window_threshold=1.0,
         closed_forms={
-            "plus_minus": "i_plus_minus",
+            "pair_form": "IForm",
             "equal_strength_angles": "equal_strength_angles",
             "optimal_angles": "optimal_unbiased_angles",
             "equal_strengths": "equal_strength_bound",
@@ -351,7 +359,7 @@ OPERATORS = _OperatorLookup(
         classical_limit=4.0,
         window_threshold=float(np.sqrt(2.0)),
         closed_forms={
-            "plus_minus": "j_plus_minus",
+            "pair_form": "JForm",
             "equal_strength_angles": "equal_strength_angles_svetlichny",
             "optimal_angles": "optimal_unbiased_angles_svetlichny",
             "equal_strengths": "equal_strength_bound_svetlichny",

@@ -65,7 +65,7 @@ def suite_closed_form(seed: int, budget: int) -> SuiteResult:
         worst = 0.0
         for op in OPERATORS.values():
             sv = np.linalg.svd(op.coefficient_matrix(st, angles), compute_uv=False)
-            plus, minus = op.closed_form("plus_minus")(st, angles)
+            plus, minus = op.closed_form("pair_form")(st).plus_minus(angles)
             worst = max(worst, abs(plus - (sv[0] + sv[1])), abs(minus - (sv[0] - sv[1])))
         deviations.append(worst)
     return _result("closed_form", deviations, 1e-10, t0,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .observables import OPERATORS
 from .reports import BoundReport, Strengths
-from .mermin import _degenerate, _root_pair, _swing, _t_svals
+from .mermin import IForm, _degenerate, _t_svals
 
 __all__ = [
     "build_w_matrix",
@@ -48,23 +48,28 @@ def build_w_matrix(strengths: Strengths, angles) -> np.ndarray:
     return OPERATORS["svetlichny"].coefficient_matrix(strengths, angles)
 
 
-def _j_coefficients(s: Strengths):
-    rx, rxp, ry, ryp, rz, rzp = s.as_array()
-    j0 = (rx**2 + rxp**2) * (ry**2 + ryp**2) * (rz**2 + rzp**2)
-    jyz_x = rx * rxp * (ry**2 - ryp**2) * (rz**2 - rzp**2)
-    jxz_y = ry * ryp * (rx**2 - rxp**2) * (rz**2 - rzp**2)
-    jxy_z = rz * rzp * (rx**2 - rxp**2) * (ry**2 - ryp**2)
-    return j0, jyz_x, jxz_y, jxy_z
+class JForm(IForm):
+    """J+- = s1(W) +- s2(W), as ``IForm`` with base j0 + 2 (jyz_x cx + jxz_y cy
+    + jxy_z cz) - 8 R_X R_X' R_Y R_Y' R_Z R_Z' cx cy cz and swing scale 4."""
+
+    letter, scale = "J", 4.0
+
+    def _coefficients(self, s: Strengths):
+        rx, rxp, ry, ryp, rz, rzp = s.as_array()
+        j0 = (rx**2 + rxp**2) * (ry**2 + ryp**2) * (rz**2 + rzp**2)
+        jyz_x = rx * rxp * (ry**2 - ryp**2) * (rz**2 - rzp**2)
+        jxz_y = ry * ryp * (rx**2 - rxp**2) * (rz**2 - rzp**2)
+        jxy_z = rz * rzp * (rx**2 - rxp**2) * (ry**2 - ryp**2)
+        return j0, jyz_x, jxz_y, jxy_z, 8.0 * rx * rxp * (ry * ryp * rz * rzp)
+
+    def _base(self, cx, cy, cz):
+        j0, jyz_x, jxz_y, jxy_z, triple = self.coefficients
+        return j0 + 2.0 * (jyz_x * cx + jxz_y * cy + jxy_z * cz) - triple * cx * cy * cz
 
 
 def j_plus_minus(strengths: Strengths, angles):
     """(s1(W) + s2(W), s1(W) - s2(W)) in closed form; angles broadcastable."""
-    tx, ty, tz = (np.asarray(a, dtype=float) for a in angles)
-    j0, jyz_x, jxz_y, jxy_z = _j_coefficients(strengths)
-    rx, rxp, ry, ryp, rz, rzp = strengths.as_array()
-    base = (j0 + 2.0 * (jyz_x * np.cos(tx) + jxz_y * np.cos(ty) + jxy_z * np.cos(tz))
-            - 8.0 * rx * rxp * (ry * ryp * rz * rzp) * np.cos(tx) * np.cos(ty) * np.cos(tz))
-    return _root_pair(base, _swing(strengths, tx, ty, tz, 4.0, "J"), "J")
+    return JForm(strengths).plus_minus(angles)
 
 
 def equal_strength_angles_svetlichny(s1: float, s2: float) -> tuple[float, float, float]:
@@ -193,7 +198,7 @@ def svetlichny_bound_degenerate_smax(strengths: Strengths, s_max: float) -> Boun
     strengths.  Optimality over a free X angle is not claimed.
     """
     st = strengths
-    j0, jyz_x, jxz_y, jxy_z = _j_coefficients(st)
+    j0, jyz_x, jxz_y, jxy_z, _ = JForm(st).coefficients
     gamma1 = (abs(jyz_x) + abs(jxz_y) + abs(jxy_z)
               + 4.0 * st.rx * st.rxp * st.ry * st.ryp * st.rz * st.rzp)
     value = s_max * np.sqrt(j0 + 2.0 * gamma1)
