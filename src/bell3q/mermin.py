@@ -213,14 +213,13 @@ def mermin_bound_x_asymmetric(s1: float, s2: float, rx: float, rxp: float, ry: f
 def mermin_bound_degenerate_smax(strengths: Strengths, s_max: float) -> BoundReport:
     """Bound when the two largest singular values of T coincide (s1 = s2).
 
-    Value s_max * sqrt(I0 + 2 Gamma0) with
+    Value s_max sqrt(I0 + 2 Gamma0) = s_max I+ at orthogonal angles, cos exactly 0, with
     Gamma0 = R_X R_X' sqrt(R_Y^2 R_Y'^2 (R_Z^4 + R_Z'^4) + R_Z^2 R_Z'^2 (R_Y^4 + R_Y'^4)),
-    the radical of I+- at orthogonal angles.  Valid for angle triples with
+    the radical of I+- there.  Valid for angle triples with
     ty = pi/2 or tz = pi/2 (the slices on which the optimization is carried
     out); reaches 2 sqrt(2) s_max at unit strengths.
     """
     st = strengths
-    # sqrt(I0 + 2 Gamma0) is I+ at orthogonal angles, taking cos = 0 there exactly
     value = s_max * IForm(st).from_trig((0.0,) * 3, (1.0,) * 3, (-1.0,) * 3)[0]
     # stated optimum: tan(tx) = Rz Rz' (Ry^2 + Ry'^2) / (Ry Ry' (Rz^2 - Rz'^2)),
     # cos(ty) = sign(Rx - Rx'), tz = pi/2

@@ -297,10 +297,9 @@ class Operator:
             if steps.max() < STEP_MIN:
                 break
             axes = np.clip(best[:, :, None] + steps[:, None, None] * offsets, 0.0, np.pi)
-            trig = (np.cos(axes), np.sin(axes), np.cos(2 * axes))  # once per axis value
-            trial = form.pair(*form.from_trig(*(
+            trial = form.pair(*form.from_trig(*(  # trig once per axis value, viewed per grid
                 (t[:, 0, :, None, None], t[:, 1, None, :, None], t[:, 2, None, None, :])
-                for t in trig))).reshape(count, -1)
+                for t in (np.cos(axes), np.sin(axes), np.cos(2 * axes))))).reshape(count, -1)
             at = trial.argmax(axis=1)
             index = at[:, None] // strides % width  # (K, 3)
             top = trial[rows, at]

@@ -49,8 +49,7 @@ def build_w_matrix(strengths: Strengths, angles) -> np.ndarray:
 
 
 class JForm(IForm):
-    """J+- = s1(W) +- s2(W), as ``IForm`` with base j0 + 2 (jyz_x cx + jxz_y cy
-    + jxy_z cz) - 8 R_X R_X' R_Y R_Y' R_Z R_Z' cx cy cz and swing scale 4."""
+    """J+- = s1(W) +- s2(W): ``IForm`` with the J+- base and a swing scale of 4."""
 
     letter, scale = "J", 4.0
 
