@@ -22,10 +22,13 @@ Two oracles validate the closed-form bounds:
   vanishes, leaves it in one step; a step is kept only where it raises the
   value.  A sweep is one alternating pass plus, from the sixth on, its
   Newton step; ``max_sweeps`` caps them.  The first sweep may lower the
-  value, so convergence is judged from the second.  Held at the relative
-  angles of a bound, it reaches s1(T)s1(C) + s2(T)s2(C), C the coefficient
-  matrix, when a product rotation (one per remote party) aligns the top
-  right singular subspaces of T and C, and ends below it otherwise.
+  value, so convergence is judged from the second.  Held at relative
+  angles with zero biases, <operator> = tr(C^T F_x T (F_y kron F_z)^T), C
+  the coefficient matrix and F the frames, so by von Neumann's trace
+  inequality no setting exceeds s1(T)s1(C) + s2(T)s2(C); a product rotation
+  aligning the top right singular subspaces of T and C reaches it.  This
+  ceiling, from LAPACK's SVD of T and C (not the closed forms under test),
+  stops such a climb from the sixth sweep on, within 4 ulps of it.
 
 * ``bias_optimize``: on a T-state every local and bipartite coefficient
   vanishes, so <operator> = A(directions) + K(biases), K the sign tensor
@@ -45,9 +48,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .observables import OPERATORS, MeasurementSetting, angles_in_range, half_angle_rows
+from .observables import OPERATORS, MeasurementSetting, Operator, angles_in_range, half_angle_rows
 from .pauli import CorrelationDecomposition
 from .reports import Strengths
+from .smallmat import singular_values_3x9
 from .states import is_tstate
 
 __all__ = [
@@ -242,13 +246,21 @@ class _Rotations(NamedTuple):
 
 
 def _tied_rotations(constraints) -> _Rotations:
-    free = np.array([constraints[slot // 2] is None for slot in range(6)])
+    return _rotations_for(tuple(a is None for a in constraints))
+
+
+@functools.lru_cache(maxsize=8)
+def _rotations_for(free_parties: tuple) -> _Rotations:
+    """The rotations of one pattern of free parties, built once; read-only."""
+    free = np.repeat(free_parties, 2)
     group = np.cumsum(free | (np.arange(6) % 2 == 0)) - 1
     member = np.eye(group[-1] + 1)[group]                   # (6, groups)
     tied = np.kron(member, _EYE3)
     n = tied.shape[1]
     jacobian = (_JACOBIAN.reshape(64, 6) @ tied.reshape(3, 6, n)).reshape(3, 8, 8 * n)
     spread = np.einsum("sk,ij,st->sikjt", member, _EYE3, np.eye(6))    # (s, i), (k, j, t)
+    for array in (tied, free, jacobian, spread):
+        array.flags.writeable = False
     return _Rotations(tied, free, jacobian, spread.reshape(18, -1))
 
 
@@ -394,14 +406,16 @@ def _update_pair(d: np.ndarray, slot: int, theta: float, g: np.ndarray) -> None:
     d[:, slot:slot + 2] = pair.transpose(2, 0, 1)
 
 
-def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
+def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig, ceiling=None):
     """(values, sweeps, hit_max, trace) of the batched climb from ``d``,
     which it updates in place.  A sweep updates each party in turn and, from
     sweep _POLISH_FROM on, takes one Newton step; the climb stops when no
-    row gains convergence_tol in a sweep after the first, or after
-    max_sweeps sweeps."""
+    row gains convergence_tol in a sweep after the first, when from sweep
+    _POLISH_FROM on the best row is within 4 ulps of ``ceiling`` (a value no
+    row exceeds), or after max_sweeps sweeps."""
     constraints = config.angle_constraints or (None, None, None)
     rotations = _tied_rotations(constraints)
+    stop_at = np.inf if ceiling is None else ceiling - 4 * np.spacing(ceiling)
     values = objective.value(d)
     trace = [values.copy()] if config.record_trace else None
     sweeps = 0
@@ -425,22 +439,28 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig):
         improvement = np.max(new_values - values)
         values = new_values
         # sweep 1 moves held pairs onto their angles and may lower the value
-        if sweep and improvement < config.convergence_tol:
+        if (sweep and improvement < config.convergence_tol
+                or sweeps >= _POLISH_FROM and values.max() >= stop_at):
             break
     else:
         hit_max = True
     return values, sweeps, hit_max, (np.array(trace) if trace is not None else None)
 
 
-def _seesaw_batch(decomp: CorrelationDecomposition, r: np.ndarray, b: np.ndarray,
-                  signs: np.ndarray, config: SeeSawConfig):
+def _seesaw_batch(decomp: CorrelationDecomposition, strengths: Strengths, b: np.ndarray,
+                  operator: Operator, config: SeeSawConfig):
     """(result, directions, best row) of the see-saw at biases ``b``: row k
     climbs +<operator> from restart k's directions, and at b != 0 row
-    restarts + k climbs -<operator> from them (at b = 0 that is row k, X negated)."""
+    restarts + k climbs -<operator> from them (at b = 0 that is row k, X negated).
+    With every pair held at b = 0 no row exceeds s1(T) s1(C) + s2(T) s2(C)."""
+    r, angles = strengths.as_array(), config.angle_constraints or (None,)
+    ceiling = None if None in angles or np.any(b) else float(
+        singular_values_3x9(decomp.t_matrix)[:2]
+        @ singular_values_3x9(operator.coefficient_matrix(strengths, angles))[:2])
     orientation = [1.0, -1.0] if np.any(b) else [1.0]
     d = np.tile(_initial_directions(config.seed, config.restarts), (len(orientation), 1, 1))
-    objective = _Objective(decomp, r, b, signs, np.repeat(orientation, config.restarts))
-    values, sweeps, hit_max, trace = _run_seesaw(objective, d, config)
+    objective = _Objective(decomp, r, b, operator.signs, np.repeat(orientation, config.restarts))
+    values, sweeps, hit_max, trace = _run_seesaw(objective, d, config, ceiling)
     best = int(np.argmax(values))
     setting = MeasurementSetting.from_arrays(b, r, d[best])
     return SeeSawResult(float(values[best]), setting, sweeps, hit_max, trace), d, best
@@ -457,7 +477,8 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     +<operator> with X negated.  Non-decreasing per restart after sweep 1.
     From the sixth sweep on the values come from the Newton step's
     derivatives, which could differ from a direct evaluation only by
-    rounding (see ``_newton_step``).
+    rounding (see ``_newton_step``).  Held at zero biases, the climb also
+    stops at the pairing bound that no setting exceeds (module notes).
     """
     r = strengths.as_array()
     b = np.asarray(biases, dtype=float)
@@ -465,7 +486,7 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
         raise ValueError("biases must be six values")
     if not np.all(np.abs(b) <= 1.0 - r + 1e-12):  # also rejects NaN
         raise ValueError("each |bias| must be at most 1 - strength")
-    return _seesaw_batch(decomp, r, b, OPERATORS[operator_kind].signs, config)[0]
+    return _seesaw_batch(decomp, strengths, b, OPERATORS[operator_kind], config)[0]
 
 
 def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
@@ -481,14 +502,13 @@ def bias_optimize(decomp: CorrelationDecomposition, strengths: Strengths,
     """
     if not is_tstate(decomp):
         raise ValueError("bias_optimize requires a T-state decomposition")
-    r = strengths.as_array()
-    signs = OPERATORS[operator_kind].signs
-    result, d, best = _seesaw_batch(decomp, r, np.zeros(6), signs, config)
+    r, operator = strengths.as_array(), OPERATORS[operator_kind]
+    result, d, best = _seesaw_batch(decomp, strengths, np.zeros(6), operator, config)
     patterns = np.array(list(itertools.product((1.0, -1.0), repeat=6))) * strengths.bars
     x, y, z = patterns.reshape(64, 3, 2).transpose(1, 0, 2)
-    k = np.einsum("abc,pa,pb,pc->p", signs, x, y, z)
+    k = np.einsum("abc,pa,pb,pc->p", operator.signs, x, y, z)
     b = patterns[np.argmax(k)]
     # over the whole batch: at b = 0 that is the see-saw's own arithmetic
-    value = _Objective(decomp, r, b, signs, np.ones(len(d))).value(d)[best]
+    value = _Objective(decomp, r, b, operator.signs, np.ones(len(d))).value(d)[best]
     return replace(result, value=abs(float(value)),
                    setting=MeasurementSetting.from_arrays(b, r, d[best]))

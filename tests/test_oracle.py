@@ -12,7 +12,7 @@ from bell3q import (CorrelationDecomposition, SeeSawConfig, Strengths, ThreeQubi
 from bell3q.mermin import _t_svals, build_v_matrix, equal_strength_angles
 from bell3q.observables import OPERATORS
 from bell3q.oracle import (_Objective, _initial_directions, _newton_step, _rotate,
-                           _run_seesaw, _tied_rotations, _update_pair)
+                           _rotations_for, _run_seesaw, _tied_rotations, _update_pair)
 from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
 
@@ -720,3 +720,102 @@ class TestConstructSaturating:
         residual, _ = pairing_residual(t, Strengths.uniform(0.8), ORTH, "mermin")
         assert residual > 1e-6
 
+
+
+class TestRotationsCache:
+    @pytest.mark.parametrize("free", list(itertools.product((False, True), repeat=3)))
+    def test_one_read_only_build_per_pattern(self, free):
+        first = _tied_rotations(tuple(None if f else 0.7 for f in free))
+        second = _tied_rotations(tuple(None if f else np.float64(2.0) for f in free))
+        assert first is second
+        assert not any(array.flags.writeable for array in first)
+        for cached, fresh in zip(first, _rotations_for.__wrapped__(free)):
+            np.testing.assert_array_equal(cached, fresh)
+
+
+def pairing_ceiling(decomp, strengths, angles, kind):
+    """s1(T) s1(C) + s2(T) s2(C), C the coefficient matrix at ``angles``."""
+    s = np.linalg.svd(decomp.t_matrix, compute_uv=False)
+    c = np.linalg.svd(OPERATORS[kind].coefficient_matrix(strengths, angles), compute_uv=False)
+    return float(s[:2] @ c[:2])
+
+
+def climb_without_ceiling(decomp, strengths, biases, kind, config):
+    """(value, best row's directions, sweeps) of the see-saw's batch run by
+    ``_run_seesaw`` with no ceiling."""
+    orientation = [1.0, -1.0] if np.any(biases) else [1.0]
+    d = np.tile(_initial_directions(config.seed, config.restarts), (len(orientation), 1, 1))
+    objective = _Objective(decomp, strengths.as_array(), biases, OPERATORS[kind].signs,
+                           np.repeat(orientation, config.restarts))
+    values, sweeps, _, _ = _run_seesaw(objective, d, config)
+    best = int(np.argmax(values))
+    return float(values[best]), d[best], sweeps
+
+
+class TestCeilingStop:
+    """A climb with every pair held at zero biases cannot pass the pairing
+    of s(T) with s(C) (von Neumann's trace inequality) and stops there."""
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    def test_no_traced_row_passes_the_ceiling(self, kind):
+        # odd draws are aligned with C, so their climbs reach the ceiling
+        rng = np.random.default_rng(71)
+        for i in range(24):
+            st = Strengths.from_iterable(rng.uniform(0.2, 1.0, 6))
+            angles = tuple(rng.uniform(0.0, np.pi, 3))
+            if i % 2:
+                coeff = OPERATORS[kind].coefficient_matrix(st, angles)
+                s1, s2, s3 = np.sort(rng.uniform(0.1, 1.0, 3))[::-1]
+                t = saturable_tensor(rng, coeff, s1, s2, s3).reshape(3, 3, 3)
+            else:
+                t = rng.normal(size=(3, 3, 3))
+                t /= np.abs(t).max()
+            decomp = decomposition_from_t(t)
+            cfg = SeeSawConfig(restarts=8, seed=i, angle_constraints=angles, record_trace=True)
+            result = see_saw_maximize(decomp, st, np.zeros(6), kind, cfg)
+            ceiling = pairing_ceiling(decomp, st, angles, kind)
+            assert np.all(result.trace[1:] <= ceiling * (1 + 1e-14))
+            if i % 2:
+                assert result.value >= ceiling * (1 - 1e-12)
+
+    def test_criterion_6_climbs_stop_at_the_bound(self):
+        rng = np.random.default_rng(106)
+        sweeps = []
+        for i in range(20):
+            r = rng.uniform(0.3, 1.0, 3)
+            st = Strengths.equal(*r)
+            s1 = rng.uniform(0.3, 1.0)
+            s2 = rng.uniform(0.1, s1)
+            s3 = rng.uniform(0.0, s2)
+            for kind, bound_of in (("mermin", mermin_bound_equal_strengths),
+                                   ("svetlichny", svetlichny_bound_equal_strengths)):
+                op = OPERATORS[kind]
+                angles = op.closed_form("equal_strength_angles")(s1, s2)
+                t = saturable_tensor(rng, op.coefficient_matrix(st, angles), s1, s2, s3)
+                bound = bound_of(t, *r).bound_value
+                result = see_saw_maximize(decomposition_from_t(t.reshape(3, 3, 3)), st,
+                                          np.zeros(6), kind,
+                                          SeeSawConfig(restarts=50, seed=10600 + i,
+                                                       angle_constraints=angles))
+                assert abs(result.value - bound) <= 1e-14 * bound
+                sweeps.append(result.sweeps)
+        assert np.mean(sweeps) <= 7.5
+
+    @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
+    @pytest.mark.parametrize("angles, biased", [((None, None, None), False),
+                                                ((None, 1.0, None), False),
+                                                ((0.7, 1.2, 2.0), True),
+                                                ((0.7, 1.2, 2.0), False)])
+    def test_other_climbs_run_as_without_a_ceiling(self, kind, angles, biased):
+        rng = np.random.default_rng(73)
+        t = rng.normal(size=(3, 3, 3))
+        decomp = decomposition_from_t(t / np.abs(t).max())
+        st = Strengths.from_iterable(rng.uniform(0.3, 0.9, 6))
+        biases = (1.0 - st.as_array()) * rng.uniform(-1.0, 1.0, 6) if biased else np.zeros(6)
+        cfg = SeeSawConfig(restarts=6, seed=5, angle_constraints=angles)
+        result = see_saw_maximize(decomp, st, biases, kind, cfg)
+        value, best_directions, sweeps = climb_without_ceiling(decomp, st, biases, kind, cfg)
+        assert (result.value, result.sweeps) == (value, sweeps)
+        np.testing.assert_array_equal(directions(result.setting), best_directions)
+        if None not in angles and not biased:   # held and unbiased: below its ceiling
+            assert value < pairing_ceiling(decomp, st, angles, kind) - 1e-6
