@@ -411,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--biases", default=None, help="six biases (default zero)")
     p_bound.add_argument("--oracle-restarts", type=int, default=0,
                          help="attach a see-saw oracle with this many restarts")
-    p_bound.add_argument("--seed", type=int, default=0)
+    p_bound.add_argument("--seed", type=int, default=0,
+                         help="seed of the oracle's restart stream")
 
     p_scan = sub.add_parser("scan", help="sweep one axis and tabulate bounds")
     common(p_scan)

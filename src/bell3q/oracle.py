@@ -8,21 +8,23 @@ Two oracles validate the closed-form bounds:
   linear coefficient.  With a fixed relative angle the pair's best frame is
   the polar factor of a 3x2 matrix, taken in closed form (a cross-product
   basis and one 2x2 rotation), with LAPACK's SVD only for rank-deficient rows.
-  Restarts run batched and are seeded independently, so serial and parallel
-  evaluation agree.  Only +<operator> is climbed at zero biases, where
-  <operator> is odd in X's pair of directions.  Alternating ascent converges
-  linearly, slowly when s2(T)/s1(T) is near 1, so from the sixth sweep on
-  each alternating pass is followed by one Newton step on the rotation
-  manifold (Absil, Mahony and Sepulchre, 2008): each free direction, and
-  each held pair as one, turns by a rotation vector, with the Hessian
-  built from the party-pair blocks of the operator.  Indefinite rows, and
+  Restarts run batched from one random stream per call.  Only +<operator>
+  is climbed at zero biases, where <operator> is odd in X's pair of
+  directions.  Alternating ascent converges linearly, slowly when
+  s2(T)/s1(T) is near 1, so from the sixth sweep on each alternating pass
+  is followed by one Newton step on the rotation manifold (Absil, Mahony
+  and Sepulchre, 2008): each free direction, and each held pair as one,
+  turns by a rotation vector, with the Hessian built from the party-pair
+  blocks of the operator.  Indefinite rows, and
   rows whose Newton step would not climb, take the saddle-free step
   (Dauphin et al., 2014) with each direction of negative curvature moved by
   at least the step's turn cap, so a row at a saddle, where the gradient
   vanishes, leaves it in one step; a step is kept only where it raises the
   value.  A sweep is one alternating pass plus, from the sixth on, its
-  Newton step; ``max_sweeps`` caps them.  The first sweep may lower the
-  value, so convergence is judged from the second.  Held at relative
+  Newton step; ``max_sweeps`` caps them.  Every stop is judged from the
+  sixth sweep on, so a cap below six always ends at the cap: the first
+  sweep may lower the value, and the alternating passes can gain less than
+  the tolerance a sweep while short of the maximum.  Held at relative
   angles with zero biases, <operator> = tr(C^T F_x T (F_y kron F_z)^T), C
   the coefficient matrix and F the frames, so by von Neumann's trace
   inequality no setting exceeds s1(T)s1(C) + s2(T)s2(C); a product rotation
@@ -93,7 +95,7 @@ _MAX_TURN = 0.8       # largest rotation angle of one Newton step, in radians
 @dataclass(frozen=True)
 class SeeSawConfig:
     restarts: int = 20
-    max_sweeps: int = 200  # alternating passes, each from the sixth on with a Newton step
+    max_sweeps: int = 200  # sweeps; a cap below 6 (_POLISH_FROM) always ends at the cap
     convergence_tol: float = 1e-12
     seed: int = 0
     angle_constraints: Optional[tuple] = None  # per-party angle or None
@@ -130,16 +132,13 @@ class SeeSawResult:
 
 
 def _initial_directions(seed: int, n_restarts: int) -> np.ndarray:
-    """(n_restarts, 6, 3) unit vectors; restart r uses generator seed + r.
+    """(n_restarts, 6, 3) unit vectors from one default_rng(seed) stream.
 
     Sphere sampling via cos(theta) = 2u - 1, phi = 2 pi v avoids pole bias.
-    u and v are default_rng(seed + r).uniform(size=(2, 6)), read straight
-    from its PCG64 stream: each uniform is the top 53 bits of one 64-bit
-    output times 2^-53.  Skipping the Generator saves about a seventh of a
-    restart's draw; the rest is seeding the bit generator.
+    Row r of the draw holds restart r's u and v, so a restart's start does
+    not depend on the restart count.
     """
-    raw = np.array([np.random.PCG64(seed + r).random_raw(12) for r in range(n_restarts)])
-    u, v = ((raw >> 11) * 2.0 ** -53).reshape(-1, 2, 6).transpose(1, 0, 2)
+    u, v = np.random.default_rng(seed).random((n_restarts, 2, 6)).transpose(1, 0, 2)
     ct, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
@@ -409,19 +408,18 @@ def _update_pair(d: np.ndarray, slot: int, theta: float, g: np.ndarray) -> None:
 def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig, ceiling=None):
     """(values, sweeps, hit_max, trace) of the batched climb from ``d``,
     which it updates in place.  A sweep updates each party in turn and, from
-    sweep _POLISH_FROM on, takes one Newton step; the climb stops when no
-    row gains convergence_tol in a sweep after the first, when from sweep
-    _POLISH_FROM on the best row is within 4 ulps of ``ceiling`` (a value no
-    row exceeds), or after max_sweeps sweeps."""
+    sweep _POLISH_FROM on, takes one Newton step.  From sweep _POLISH_FROM
+    on the climb stops when no row gains convergence_tol in a sweep or the
+    best row is within 4 ulps of ``ceiling`` (a value no row exceeds);
+    otherwise it ends after max_sweeps sweeps, so a cap below _POLISH_FROM
+    always ends at the cap."""
     constraints = config.angle_constraints or (None, None, None)
     rotations = _tied_rotations(constraints)
     stop_at = np.inf if ceiling is None else ceiling - 4 * np.spacing(ceiling)
     values = objective.value(d)
     trace = [values.copy()] if config.record_trace else None
-    sweeps = 0
     hit_max = False
-    for sweep in range(config.max_sweeps):
-        sweeps = sweep + 1
+    for sweeps in range(1, config.max_sweeps + 1):
         for party in range(3):
             slot = 2 * party
             theta = constraints[party]
@@ -438,9 +436,8 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig, ceil
             trace.append(new_values.copy())
         improvement = np.max(new_values - values)
         values = new_values
-        # sweep 1 moves held pairs onto their angles and may lower the value
-        if (sweep and improvement < config.convergence_tol
-                or sweeps >= _POLISH_FROM and values.max() >= stop_at):
+        if sweeps >= _POLISH_FROM and (improvement < config.convergence_tol
+                                       or values.max() >= stop_at):
             break
     else:
         hit_max = True
@@ -477,8 +474,10 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     +<operator> with X negated.  Non-decreasing per restart after sweep 1.
     From the sixth sweep on the values come from the Newton step's
     derivatives, which could differ from a direct evaluation only by
-    rounding (see ``_newton_step``).  Held at zero biases, the climb also
-    stops at the pairing bound that no setting exceeds (module notes).
+    rounding (see ``_newton_step``).  No climb stops before the sixth sweep,
+    so a ``max_sweeps`` below six ends at the cap.  Held at zero biases, the
+    climb also stops at the pairing bound that no setting exceeds (module
+    notes).  Restart r starts from row r of one default_rng(config.seed) draw.
     """
     r = strengths.as_array()
     b = np.asarray(biases, dtype=float)

@@ -102,7 +102,7 @@ class TestBound:
         code, out, _ = run(args, capsys)
         converged = json.loads(out)["reports"]
         assert code == 0 and not any("sweep cap" in r["notes"] for r in converged)
-        # convergence is judged from the second sweep on, so one sweep is always capped
+        # no climb is judged converged before sweep 6, so one sweep is always capped
         monkeypatch.setattr(cli, "SeeSawConfig", functools.partial(SeeSawConfig, max_sweeps=1))
         code, out, _ = run(args, capsys)
         assert code == 0

@@ -11,8 +11,9 @@ from bell3q import (CorrelationDecomposition, SeeSawConfig, Strengths, ThreeQubi
                     see_saw_maximize, svetlichny_bound_equal_strengths, svetlichny_expectation)
 from bell3q.mermin import _t_svals, build_v_matrix, equal_strength_angles
 from bell3q.observables import OPERATORS
-from bell3q.oracle import (_Objective, _initial_directions, _newton_step, _rotate,
-                           _rotations_for, _run_seesaw, _tied_rotations, _update_pair)
+from bell3q.oracle import (_POLISH_FROM, _Objective, _initial_directions, _newton_step,
+                           _rotate, _rotations_for, _run_seesaw, _tied_rotations,
+                           _update_pair)
 from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 from bell3q.suites import saturable_tensor
 
@@ -50,9 +51,8 @@ def dense_value(rho, setting, kind):
 class TestSeeSaw:
     @staticmethod
     def generator_directions(seed, restarts):
-        """The replaced draw, kept as the reference: one default_rng per restart."""
-        u, v = np.array([np.random.default_rng(seed + r).uniform(size=(2, 6))
-                         for r in range(restarts)]).transpose(1, 0, 2)
+        """The reference draw: one default_rng(seed) stream, row r restart r's."""
+        u, v = np.random.default_rng(seed).uniform(size=(restarts, 2, 6)).transpose(1, 0, 2)
         ct, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
         st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
         return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
@@ -62,6 +62,17 @@ class TestSeeSaw:
     def test_initial_directions_use_each_restarts_generator(self, seed, restarts):
         np.testing.assert_array_equal(_initial_directions(seed, restarts),
                                       self.generator_directions(seed, restarts))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_a_restarts_start_does_not_depend_on_the_count(self, seed):
+        np.testing.assert_array_equal(_initial_directions(seed, 3),
+                                      _initial_directions(seed, 8)[:3])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**31 - 1])
+    def test_neighbouring_seeds_share_no_start(self, seed):
+        first, second = _initial_directions(seed, 20), _initial_directions(seed + 1, 20)
+        shared = (first[:, None] == second[None]).all(axis=(2, 3))
+        assert not shared.any()
 
     def test_maximally_mixed_is_zero(self):
         result = see_saw_maximize(mixed_decomp(), Strengths.uniform(0.7), np.zeros(6),
@@ -270,11 +281,15 @@ class TestOneClimbPerRestart:
             np.testing.assert_allclose([plain.value, biased.value], [value, biased_value],
                                        rtol=1e-12, atol=1e-300)
 
-    def test_zero_tensor_takes_two_sweeps(self):
-        # no sweep can improve, and the first one is never taken as converged
+    def test_zero_tensor_stops_at_the_first_newton_sweep(self):
+        # no sweep can improve, and no sweep before the first Newton step is
+        # taken as converged, so a lower cap always ends at the cap
         result = see_saw_maximize(mixed_decomp(), Strengths.uniform(0.6), np.zeros(6),
                                   "mermin", SeeSawConfig(restarts=3))
-        assert (result.value, result.sweeps, result.hit_max_sweeps) == (0.0, 2, False)
+        assert (result.value, result.sweeps, result.hit_max_sweeps) == (0.0, _POLISH_FROM, False)
+        result = see_saw_maximize(mixed_decomp(), Strengths.uniform(0.6), np.zeros(6),
+                                  "mermin", SeeSawConfig(restarts=3, max_sweeps=_POLISH_FROM - 1))
+        assert (result.sweeps, result.hit_max_sweeps) == (_POLISH_FROM - 1, True)
 
     def test_nonzero_biases_climb_both_signs(self):
         # mermin on GHZ correlations at biases -(1 - R): K = 2 (R - 1)^3 < 0, so
@@ -304,6 +319,28 @@ class TestOneClimbPerRestart:
         assert result.trace[1, 0] < result.trace[0, 0]
         assert result.sweeps > 1
         assert abs(result.value - 1.1257726719309988) <= 1e-12 * 1.1257726719309988
+
+    def test_crawling_climb_is_not_stopped_before_its_newton_step(self):
+        # s2/s1 = 0.9978: the alternating passes gain less than convergence_tol
+        # a sweep while 1.8e-10 short, and stopped there at sweep 5
+        t = np.array([
+            0.09800941895062522, -0.10806677189005444, 0.15733023210414393,
+            0.08455271590874078, -0.06716384853932533, -0.030623536898457846,
+            0.10950569507867576, -0.07143606328255551, -0.15196988353648577,
+            -0.11900274044419189, 0.08360082192827929, 0.14157328195939897,
+            0.009079360196295428, -0.03010070793212166, 0.1031283368824361,
+            0.10241351099169119, -0.10259082790236414, 0.12378937623550348,
+            0.0590214964952663, -0.037305712467503215, -0.03195853910056008,
+            -0.020511529180258812, 0.001986981845062667, -0.02935646253632857,
+            -0.02905869063093747, 0.041993565202443524, -0.037057527873077464]).reshape(3, 9)
+        r = (0.5711853002246794, 0.4033868040865779, 0.48284901370606265)
+        angles = (1.5685804558383665, np.pi / 2, np.pi / 2)
+        bound = mermin_bound_equal_strengths(t, *r).bound_value
+        result = see_saw_maximize(decomposition_from_t(t.reshape(3, 3, 3)), Strengths.equal(*r),
+                                  np.zeros(6), "mermin",
+                                  SeeSawConfig(restarts=50, seed=752690754,
+                                               angle_constraints=angles))
+        assert abs(result.value - bound) <= 1e-14
 
 
 def mixed_pair_batch():
