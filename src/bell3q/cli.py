@@ -197,28 +197,32 @@ def _evaluate(args, context, strengths: Strengths, angles, has_bias: bool = Fals
               oracle=None) -> dict:
     """One state's {operator: [(criterion, report)]}: the angles are resolved
     once per operator, and with ``oracle`` = (biases, restarts, seed) each
-    report carries its oracle value."""
+    report carries its oracle value, one see-saw per distinct question."""
     decomp, _, tstate, (s1, s2) = context
     names = _select_criteria(args.criteria, strengths, tstate, s1, s2, has_bias)
-    evaluated = {}
+    evaluated, seen = {}, {}
     for operator in _operators(args.operator):
         resolved = _resolve_angles(angles, strengths, operator, s1, s2)
         evaluated[operator] = []
         for name in names:
             report = _compute_report(name, operator, strengths, resolved, tstate, s1, s2)
             if oracle and CRITERIA[name][1]:
-                report = _attach_oracle(name, operator, report, decomp, strengths, *oracle)
+                report = _attach_oracle(name, operator, report, decomp, strengths, seen, *oracle)
             evaluated[operator].append((name, report))
     return evaluated
 
 
 def _attach_oracle(name: str, operator: str, report: BoundReport, decomp,
-                   strengths: Strengths, biases, restarts: int, seed: int) -> BoundReport:
+                   strengths: Strengths, seen: dict, biases, restarts: int,
+                   seed: int) -> BoundReport:
     mode = CRITERIA[name][1]
     constraints = None if mode == "free" else report.achieving_angles
-    config = SeeSawConfig(restarts=restarts, seed=seed, angle_constraints=constraints)
-    result = (bias_optimize(decomp, strengths, operator, config) if mode == "bias"
-              else see_saw_maximize(decomp, strengths, biases, operator, config))
+    key = (operator, mode, constraints, tuple(biases), restarts, seed)
+    if key not in seen:
+        config = SeeSawConfig(restarts=restarts, seed=seed, angle_constraints=constraints)
+        seen[key] = (bias_optimize(decomp, strengths, operator, config) if mode == "bias"
+                     else see_saw_maximize(decomp, strengths, biases, operator, config))
+    result = seen[key]
     report = report.with_oracle(result.value)
     if result.hit_max_sweeps:
         notes = "; ".join(filter(None, (report.notes, "oracle stopped at its sweep cap")))

@@ -15,22 +15,26 @@ Two oracles validate the closed-form bounds:
   is followed by one Newton step on the rotation manifold (Absil, Mahony
   and Sepulchre, 2008): each free direction, and each held pair as one,
   turns by a rotation vector, with the Hessian built from the party-pair
-  blocks of the operator.  Indefinite rows, and
-  rows whose Newton step would not climb, take the saddle-free step
-  (Dauphin et al., 2014) with each direction of negative curvature moved by
-  at least the step's turn cap, so a row at a saddle, where the gradient
-  vanishes, leaves it in one step; a step is kept only where it raises the
-  value.  A sweep is one alternating pass plus, from the sixth on, its
-  Newton step; ``max_sweeps`` caps them.  Every stop is judged from the
-  sixth sweep on, so a cap below six always ends at the cap: the first
-  sweep may lower the value, and the alternating passes can gain less than
-  the tolerance a sweep while short of the maximum.  Held at relative
-  angles with zero biases, <operator> = tr(C^T F_x T (F_y kron F_z)^T), C
-  the coefficient matrix and F the frames, so by von Neumann's trace
-  inequality no setting exceeds s1(T)s1(C) + s2(T)s2(C); a product rotation
-  aligning the top right singular subspaces of T and C reaches it.  This
-  ceiling, from LAPACK's SVD of T and C (not the closed forms under test),
-  stops such a climb from the sixth sweep on, within 4 ulps of it.
+  blocks of the operator.  Indefinite rows, and rows whose Newton step
+  would not climb, take the saddle-free step (Dauphin et al., 2014) with
+  each direction of negative curvature moved by at least the step's turn
+  cap, so a row at a saddle, where the gradient vanishes, leaves it in one
+  step, and each flat direction not moved at all; a step is kept only where
+  it raises the value.  A sweep is one alternating pass plus, from the
+  sixth on, its Newton step; ``max_sweeps`` caps them.  The improvement
+  stop is judged from the sixth sweep on: the first sweep may lower the
+  value, and the alternating passes can gain less than the tolerance a
+  sweep while short of the maximum.  Held at relative angles with zero
+  biases, <operator> = tr(C^T F_x T (F_y kron F_z)^T), C the coefficient
+  matrix and F the frames, so by von Neumann's trace inequality no setting
+  exceeds s1(T)s1(C) + s2(T)s2(C); a product rotation aligning the top
+  right singular subspaces of T and C reaches it.  This ceiling, from
+  LAPACK's SVD of T and C (not the closed forms under test), stops such a
+  climb at any sweep once its best row is within 4 ulps of it, and before
+  the sixth sweep the climb chases it: after each alternating pass the best
+  row alone takes a Newton step, kept for as long as each step halves that
+  row's gap to the ceiling; the first that does not is dropped, and the
+  climb goes on as it would without a ceiling.
 
 * ``bias_optimize``: on a T-state every local and bipartite coefficient
   vanishes, so <operator> = A(directions) + K(biases), K the sign tensor
@@ -42,6 +46,7 @@ Two oracles validate the closed-form bounds:
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import numbers
@@ -95,7 +100,7 @@ _MAX_TURN = 0.8       # largest rotation angle of one Newton step, in radians
 @dataclass(frozen=True)
 class SeeSawConfig:
     restarts: int = 20
-    max_sweeps: int = 200  # sweeps; a cap below 6 (_POLISH_FROM) always ends at the cap
+    max_sweeps: int = 200  # a cap below 6 (_POLISH_FROM) ends there unless a ceiling stops it
     convergence_tol: float = 1e-12
     seed: int = 0
     angle_constraints: Optional[tuple] = None  # per-party angle or None
@@ -164,6 +169,12 @@ class _Objective:
         self.r = strengths
         self.b = np.broadcast_to(biases, (len(orientation), 6))
         self.orientation = orientation  # (batch,)
+
+    def rows(self, index: slice) -> _Objective:
+        """The same objective on the rows ``index`` of the batch."""
+        subset = copy.copy(self)
+        subset.b, subset.orientation = self.b[index], self.orientation[index]
+        return subset
 
     def _homogeneous(self, d: np.ndarray) -> np.ndarray:
         h = np.concatenate([self.b[..., None], self.r[:, None] * d], axis=-1)
@@ -297,9 +308,11 @@ def _newton_step(objective: _Objective, d: np.ndarray, rotations: _Rotations,
     replaced by its absolute value, as in saddle-free Newton (Dauphin et
     al., 2014).  That step moves each eigendirection by g.v / |lambda|, which
     near a saddle, where the gradient is small, barely moves; so each
-    direction of negative curvature (lambda < -shift) gets a coefficient of
-    at least _MAX_TURN, signed like its gradient component, and leaves the
-    saddle in one step.  A row's step is scaled down so that no direction
+    direction of negative curvature gets a coefficient of at least
+    _MAX_TURN, signed like its gradient component, and leaves the saddle in
+    one step.  A flat direction (|lambda| at most 1e-8 of the row's
+    largest, as when a pair held at 0 or pi turns about its one vector) gets
+    coefficient 0.  A row's step is scaled down so that no direction
     turns by more than _MAX_TURN, and a row whose step promised a
     first-order gain above ``tol`` but did not climb tries a quarter of it.
     """
@@ -315,9 +328,9 @@ def _newton_step(objective: _Objective, d: np.ndarray, rotations: _Rotations,
     if bad.any():
         lam, vec = np.linalg.eigh(-hess[bad])
         proj = (grad[bad, None] @ vec)[:, 0]
-        coef = proj / (np.abs(lam) + shift[bad, None])
-        coef = np.where(lam < -shift[bad, None],
-                        np.copysign(np.maximum(np.abs(coef), _MAX_TURN), proj), coef)
+        flat = 1e-8 * np.abs(lam).max(axis=1, keepdims=True)
+        coef = np.where(np.abs(lam) > flat, proj / (np.abs(lam) + shift[bad, None]), 0.0)
+        coef = np.where(lam < -flat, np.copysign(np.maximum(np.abs(coef), _MAX_TURN), proj), coef)
         step[bad] = (vec @ coef[..., None])[..., 0]
     w = (step @ rotations.tied.T).reshape(-1, 6, 3)
     if rotations.free.any():                   # off each free direction
@@ -408,14 +421,17 @@ def _update_pair(d: np.ndarray, slot: int, theta: float, g: np.ndarray) -> None:
 def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig, ceiling=None):
     """(values, sweeps, hit_max, trace) of the batched climb from ``d``,
     which it updates in place.  A sweep updates each party in turn and, from
-    sweep _POLISH_FROM on, takes one Newton step.  From sweep _POLISH_FROM
-    on the climb stops when no row gains convergence_tol in a sweep or the
-    best row is within 4 ulps of ``ceiling`` (a value no row exceeds);
-    otherwise it ends after max_sweeps sweeps, so a cap below _POLISH_FROM
-    always ends at the cap."""
+    sweep _POLISH_FROM on, takes one Newton step; before it, a climb with a
+    ``ceiling`` (a value no row exceeds) takes one on its best row alone,
+    for as long as each such step halves that row's gap to the ceiling.
+    The climb stops at any sweep when the best row is within 4 ulps of the
+    ceiling, and from sweep _POLISH_FROM on when no row gains
+    convergence_tol in a sweep; otherwise it ends after max_sweeps sweeps,
+    so without a ceiling a cap below _POLISH_FROM always ends at the cap."""
     constraints = config.angle_constraints or (None, None, None)
     rotations = _tied_rotations(constraints)
     stop_at = np.inf if ceiling is None else ceiling - 4 * np.spacing(ceiling)
+    chase = ceiling is not None
     values = objective.value(d)
     trace = [values.copy()] if config.record_trace else None
     hit_max = False
@@ -432,12 +448,21 @@ def _run_seesaw(objective: _Objective, d: np.ndarray, config: SeeSawConfig, ceil
             new_values = _newton_step(objective, d, rotations, config.convergence_tol)
         else:
             new_values = objective.value(d)
+            if chase:   # the best row alone, kept while each step halves its gap
+                best = int(np.argmax(new_values))
+                row = slice(best, best + 1)
+                trial = d[row].copy()
+                value = _newton_step(objective.rows(row), trial, rotations,
+                                     config.convergence_tol)[0]
+                chase = ceiling - value <= 0.5 * (ceiling - new_values[best])
+                if chase:
+                    d[row], new_values[best] = trial, value
         if trace is not None:
             trace.append(new_values.copy())
         improvement = np.max(new_values - values)
         values = new_values
-        if sweeps >= _POLISH_FROM and (improvement < config.convergence_tol
-                                       or values.max() >= stop_at):
+        if values.max() >= stop_at or (sweeps >= _POLISH_FROM
+                                       and improvement < config.convergence_tol):
             break
     else:
         hit_max = True
@@ -474,10 +499,10 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     +<operator> with X negated.  Non-decreasing per restart after sweep 1.
     From the sixth sweep on the values come from the Newton step's
     derivatives, which could differ from a direct evaluation only by
-    rounding (see ``_newton_step``).  No climb stops before the sixth sweep,
-    so a ``max_sweeps`` below six ends at the cap.  Held at zero biases, the
-    climb also stops at the pairing bound that no setting exceeds (module
-    notes).  Restart r starts from row r of one default_rng(config.seed) draw.
+    rounding (see ``_newton_step``).  Held at zero biases, the climb chases
+    the pairing bound that no setting exceeds and stops there at any sweep
+    (module notes); any other climb stops no earlier than the sixth sweep,
+    so a ``max_sweeps`` below six ends at the cap.  Restart r starts from row r of one default_rng(config.seed) draw.
     """
     r = strengths.as_array()
     b = np.asarray(biases, dtype=float)

@@ -102,7 +102,8 @@ class TestBound:
         code, out, _ = run(args, capsys)
         converged = json.loads(out)["reports"]
         assert code == 0 and not any("sweep cap" in r["notes"] for r in converged)
-        # no climb is judged converged before sweep 6, so one sweep is always capped
+        # one sweep ends at the cap: a climb is judged converged from sweep 6,
+        # or at its ceiling, which these held climbs do not reach in one sweep
         monkeypatch.setattr(cli, "SeeSawConfig", functools.partial(SeeSawConfig, max_sweeps=1))
         code, out, _ = run(args, capsys)
         assert code == 0

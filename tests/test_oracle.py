@@ -1,5 +1,6 @@
 """Oracle tests: see-saw, bias optimization, attainability of the pairing bound."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from bell3q.oracle import (_POLISH_FROM, _Objective, _initial_directions, _newto
                            _rotate, _rotations_for, _run_seesaw, _tied_rotations,
                            _update_pair)
 from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
+from bell3q.states import build, parse_state_spec
 from bell3q.suites import saturable_tensor
 
 from test_observables import dense_triple, random_density
@@ -255,6 +257,17 @@ class TestOneClimbPerRestart:
         assert best < cfg.restarts
         plain = see_saw_maximize(decomp, st, np.zeros(6), kind, cfg)
         biased = bias_optimize(decomp, st, kind, cfg)
+        if cfg.angle_constraints is not None:
+            # held at zero biases the public calls chase their ceiling with
+            # the best row alone, which the batch's twin rows do not follow:
+            # the batch is the climb without a ceiling, and the values agree
+            unchased, unchased_dirs, unchased_sweeps = climb_without_ceiling(
+                decomp, st, np.zeros(6), kind, cfg)
+            assert (unchased, unchased_sweeps, hit_max) == (value, sweeps, False)
+            np.testing.assert_array_equal(unchased_dirs, best_dirs)
+            np.testing.assert_allclose([plain.value, biased.value], [value, biased_value],
+                                       rtol=1e-15, atol=0)
+            return
         assert (plain.value, biased.value) == (value, biased_value)
         for result in (plain, biased):
             np.testing.assert_array_equal(directions(result.setting), best_dirs)
@@ -530,6 +543,35 @@ class TestNewtonPolish:
         assert np.all(values >= before)
         np.testing.assert_allclose(d, start, rtol=0, atol=1e-15)
 
+    def test_flat_direction_gets_no_step(self):
+        # the held Mermin climb of `bound --state random:1 --oracle-restarts 10`:
+        # -H has an eigenvalue near 0 at its maxima, whose saddle-free
+        # coefficient spent the turn cap, and slower rows crawled to the cap
+        decomp = decompose(build(parse_state_spec("random:1")))
+        angles = equal_strength_angles(*_t_svals(decomp.t_matrix))
+        result = see_saw_maximize(decomp, Strengths.uniform(1.0), np.zeros(6), "mermin",
+                                  SeeSawConfig(restarts=10, seed=0, angle_constraints=angles))
+        assert not result.hit_max_sweeps and result.sweeps < 200
+
+    def test_pairs_held_at_zero_and_pi_converge_fast(self):
+        # a pair held at 0 or pi is +- one vector, so turning it about that
+        # vector is flat; with the turn cap spent there the gap only halved
+        # each sweep (22-27 sweeps on these draws at s2 = 0.97 s1)
+        op, angles = OPERATORS["svetlichny"], (0.0, 0.0, np.pi)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            st = Strengths.equal(*rng.uniform(0.3, 1.0, 3))
+            s1 = rng.uniform(0.3, 1.0)
+            s3 = rng.uniform(0.0, 0.97 * s1)
+            t = saturable_tensor(rng, op.coefficient_matrix(st, angles), s1, 0.97 * s1, s3)
+            decomp = decomposition_from_t(t.reshape(3, 3, 3))
+            result = see_saw_maximize(decomp, st, np.zeros(6), "svetlichny",
+                                      SeeSawConfig(restarts=10, seed=seed,
+                                                   angle_constraints=angles))
+            assert result.sweeps <= 15, seed
+            ceiling = pairing_ceiling(decomp, st, angles, "svetlichny")
+            assert result.value >= ceiling * (1 - 1e-14), seed
+
     def test_near_degenerate_held_climbs_converge(self):
         # criterion 6's draws at s2 = 0.97 s1: alternating ascent alone stops at
         # the 200-sweep cap on all twelve calls, up to 9.3e-7 below the bound
@@ -789,6 +831,31 @@ def climb_without_ceiling(decomp, strengths, biases, kind, config):
     return float(values[best]), d[best], sweeps
 
 
+@functools.cache
+def criterion_6_climbs():
+    """(value, equal-strength bound, sweeps) of 40 held 50-restart climbs on
+    criterion 6's alignment-compatible draws."""
+    rng = np.random.default_rng(106)
+    climbs = []
+    for i in range(20):
+        r = rng.uniform(0.3, 1.0, 3)
+        st = Strengths.equal(*r)
+        s1 = rng.uniform(0.3, 1.0)
+        s2 = rng.uniform(0.1, s1)
+        s3 = rng.uniform(0.0, s2)
+        for kind, bound_of in (("mermin", mermin_bound_equal_strengths),
+                               ("svetlichny", svetlichny_bound_equal_strengths)):
+            op = OPERATORS[kind]
+            angles = op.closed_form("equal_strength_angles")(s1, s2)
+            t = saturable_tensor(rng, op.coefficient_matrix(st, angles), s1, s2, s3)
+            result = see_saw_maximize(decomposition_from_t(t.reshape(3, 3, 3)), st,
+                                      np.zeros(6), kind,
+                                      SeeSawConfig(restarts=50, seed=10600 + i,
+                                                   angle_constraints=angles))
+            climbs.append((result.value, bound_of(t, *r).bound_value, result.sweeps))
+    return climbs
+
+
 class TestCeilingStop:
     """A climb with every pair held at zero biases cannot pass the pairing
     of s(T) with s(C) (von Neumann's trace inequality) and stops there."""
@@ -816,27 +883,17 @@ class TestCeilingStop:
                 assert result.value >= ceiling * (1 - 1e-12)
 
     def test_criterion_6_climbs_stop_at_the_bound(self):
-        rng = np.random.default_rng(106)
         sweeps = []
-        for i in range(20):
-            r = rng.uniform(0.3, 1.0, 3)
-            st = Strengths.equal(*r)
-            s1 = rng.uniform(0.3, 1.0)
-            s2 = rng.uniform(0.1, s1)
-            s3 = rng.uniform(0.0, s2)
-            for kind, bound_of in (("mermin", mermin_bound_equal_strengths),
-                                   ("svetlichny", svetlichny_bound_equal_strengths)):
-                op = OPERATORS[kind]
-                angles = op.closed_form("equal_strength_angles")(s1, s2)
-                t = saturable_tensor(rng, op.coefficient_matrix(st, angles), s1, s2, s3)
-                bound = bound_of(t, *r).bound_value
-                result = see_saw_maximize(decomposition_from_t(t.reshape(3, 3, 3)), st,
-                                          np.zeros(6), kind,
-                                          SeeSawConfig(restarts=50, seed=10600 + i,
-                                                       angle_constraints=angles))
-                assert abs(result.value - bound) <= 1e-14 * bound
-                sweeps.append(result.sweeps)
+        for value, bound, result_sweeps in criterion_6_climbs():
+            assert abs(value - bound) <= 1e-14 * bound
+            sweeps.append(result_sweeps)
         assert np.mean(sweeps) <= 7.5
+
+    def test_criterion_6_climbs_chase_the_bound(self):
+        # the best row's Newton steps before sweep 6 reach the ceiling early
+        sweeps = [result_sweeps for *_, result_sweeps in criterion_6_climbs()]
+        assert np.mean(sweeps) <= 4.5
+        assert min(sweeps) < _POLISH_FROM
 
     @pytest.mark.parametrize("kind", ["mermin", "svetlichny"])
     @pytest.mark.parametrize("angles, biased", [((None, None, None), False),
@@ -856,3 +913,4 @@ class TestCeilingStop:
         np.testing.assert_array_equal(directions(result.setting), best_directions)
         if None not in angles and not biased:   # held and unbiased: below its ceiling
             assert value < pairing_ceiling(decomp, st, angles, kind) - 1e-6
+            assert sweeps >= _POLISH_FROM and not result.hit_max_sweeps  # by improvement
