@@ -499,10 +499,10 @@ def see_saw_maximize(decomp: CorrelationDecomposition, strengths: Strengths,
     +<operator> with X negated.  Non-decreasing per restart after sweep 1.
     From the sixth sweep on the values come from the Newton step's
     derivatives, which could differ from a direct evaluation only by
-    rounding (see ``_newton_step``).  Held at zero biases, the climb chases
-    the pairing bound that no setting exceeds and stops there at any sweep
-    (module notes); any other climb stops no earlier than the sixth sweep,
-    so a ``max_sweeps`` below six ends at the cap.  Restart r starts from row r of one default_rng(config.seed) draw.
+    rounding (see ``_newton_step``).  Held at zero biases the climb chases
+    the pairing bound (module notes) and may stop there at any sweep; any
+    other climb stops from the sixth sweep, so a lower ``max_sweeps`` ends at
+    the cap.  Restart r starts from row r of one default_rng(config.seed) draw.
     """
     r = strengths.as_array()
     b = np.asarray(biases, dtype=float)
