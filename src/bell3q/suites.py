@@ -73,6 +73,7 @@ def suite_closed_form(seed: int, budget: int) -> SuiteResult:
 
 
 def _enumerate_bias_max(strengths: Strengths, kind: str) -> float:
+    # written out, not contracted with the signs: only this meets k_max/l_max to the last bit
     bars = strengths.bars
     best = 0.0
     for signs in itertools.product((1.0, -1.0), repeat=6):

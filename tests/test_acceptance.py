@@ -4,7 +4,6 @@ Each test prints one pass/fail line.  Tolerances and instance budgets are
 pinned here; nothing is deferred to later calibration.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -15,18 +14,12 @@ from bell3q import (SeeSawConfig, Strengths, ThreeQubitState, decompose,
                     mermin_expectation, see_saw_maximize, svetlichny_bound_equal_strengths,
                     svetlichny_expectation, white_noise_mix)
 from bell3q.mermin import _t_svals, build_v_matrix, equal_strength_angles
-from bell3q.observables import OPERATORS, GeneralObservable, MeasurementSetting
+from bell3q.observables import OPERATORS
 from bell3q.suites import saturable_tensor
 from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 
-ROOT2 = np.sqrt(2.0)
-
-
-def ghz_t3():
-    t = np.zeros((3, 3, 3))
-    t[0, 0, 0] = 1.0
-    t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = -1.0
-    return t
+from references import (ROOT2, bias_max_brute, ghz_t, kron3, random_density, random_setting,
+                        random_su2)
 
 
 def report(num, passed, detail):
@@ -35,24 +28,9 @@ def report(num, passed, detail):
     assert passed, detail
 
 
-def random_density(rng):
-    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
-
-
-def random_unbiased_setting(rng):
-    obs = []
-    for _ in range(6):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        obs.append(GeneralObservable(0.0, rng.uniform(0, 1), d))
-    return MeasurementSetting(*obs)
-
-
 def test_criterion_1_ghz_sharp_mermin_maximum():
     start = time.perf_counter()
-    t = ghz_t3()
+    t = ghz_t()
     bound = mermin_bound_equal_strengths(t, 1.0, 1.0, 1.0).bound_value
     oracle = see_saw_maximize(decomposition_from_t(t), Strengths.uniform(1.0),
                               np.zeros(6), "mermin",
@@ -66,7 +44,7 @@ def test_criterion_1_ghz_sharp_mermin_maximum():
 
 def test_criterion_2_ghz_sharp_svetlichny_maximum():
     start = time.perf_counter()
-    t = ghz_t3()
+    t = ghz_t()
     target = 4.0 * ROOT2
     bound = svetlichny_bound_equal_strengths(t, 1.0, 1.0, 1.0).bound_value
     oracle = see_saw_maximize(decomposition_from_t(t), Strengths.uniform(1.0),
@@ -101,19 +79,11 @@ def test_criterion_3_closed_form_identity_suite():
 def test_criterion_4_kmax_lmax_brute_force():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    signs = list(itertools.product((1.0, -1.0), repeat=6))
     worst = 0.0
     for _ in range(500):
         st = Strengths.from_iterable(rng.uniform(0, 1, 6))
-        bars = st.bars
-        best_k = best_l = 0.0
-        for s in signs:
-            bx, bxp, by, byp, bz, bzp = (si * bi for si, bi in zip(s, bars))
-            best_k = max(best_k, abs(bx * (by * bzp + byp * bz)
-                                     + bxp * (by * bz - byp * bzp)))
-            best_l = max(best_l, abs((bx * by - bxp * byp) * (bz + bzp)
-                                     + (bx * byp + bxp * by) * (bz - bzp)))
-        worst = max(worst, abs(k_max(st) - best_k), abs(l_max(st) - best_l))
+        worst = max(worst, abs(k_max(st) - bias_max_brute("mermin", st)),
+                    abs(l_max(st) - bias_max_brute("svetlichny", st)))
     elapsed = time.perf_counter() - start
     report(4, worst <= 1e-12 and elapsed < 5.0,
            f"bias maxima vs 64-pattern enumeration on 500 draws: max dev "
@@ -191,7 +161,7 @@ def test_criterion_7_soundness_sweep():
     worst = -np.inf
     for _ in range(200):
         d = decompose(ThreeQubitState(random_density(rng)))
-        setting = random_unbiased_setting(rng)
+        setting = random_setting(rng, unbiased=True)
         st = Strengths.from_iterable(setting.strengths_array)
         angles = setting.relative_angles
         m_bound = mermin_bound_unbiased(d.t_matrix, st, angles).bound_value
@@ -227,16 +197,10 @@ def test_criterion_8_sharp_limit_reductions():
 def test_criterion_9_local_unitary_invariance():
     start = time.perf_counter()
     rng = np.random.default_rng(109)
-
-    def su2(rng):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(g)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
     worst = 0.0
     for _ in range(100):
         rho = random_density(rng)
-        u = np.kron(np.kron(su2(rng), su2(rng)), su2(rng))
+        u = kron3(random_su2(rng), random_su2(rng), random_su2(rng))
         st = Strengths.from_iterable(rng.uniform(0, 1, 6))
         ang = tuple(rng.uniform(0, np.pi, 3))
         t_a = decompose(ThreeQubitState(rho)).t_matrix

@@ -14,38 +14,8 @@ from bell3q.mermin import _t_svals, optimal_unbiased_angles
 from bell3q.observables import OPERATORS, VARIANT_SWAPS, exchange_order
 from bell3q.suites import saturable_tensor
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-SI = np.eye(2, dtype=complex)
-
-
-def dense_triple(rho, ox, oy, oz):
-    """Dense 8x8 oracle: effects built literally as B*I + R*(sigma . n)."""
-    def mat(o):
-        n = o.direction
-        return o.bias * SI + o.strength * (n[0] * SX + n[1] * SY + n[2] * SZ)
-    op = np.kron(np.kron(mat(ox), mat(oy)), mat(oz))
-    return float(np.real(np.trace(op @ rho)))
-
-
-def random_density(rng):
-    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
-
-
-def random_observable(rng, unbiased=False):
-    d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
-    r = rng.uniform(0, 1)
-    b = 0.0 if unbiased else rng.uniform(-(1 - r), 1 - r)
-    return GeneralObservable(bias=b, strength=r, direction=d)
-
-
-def random_setting(rng, unbiased=False):
-    return MeasurementSetting(*(random_observable(rng, unbiased) for _ in range(6)))
-
+from references import (DENSE_TERMS, SX, SY, SZ, dense_triple, kron3, random_density,
+                        random_observable, random_setting, random_su2)
 
 EX, EY, EZ = np.eye(3)
 
@@ -159,10 +129,8 @@ class TestBellOperators:
         assert abs(svetlichny_expectation(d, s) - (e - e_prime)) < 1e-12
 
         obs = s.observables
-        terms = [(0, 2, 5, 1), (0, 3, 4, 1), (1, 2, 4, 1), (1, 3, 5, -1),
-                 (1, 3, 4, -1), (1, 2, 5, -1), (0, 3, 5, -1), (0, 2, 4, 1)]
         direct = sum(sign * triple_expectation(d, obs[a], obs[b], obs[c])
-                     for a, b, c, sign in terms)
+                     for a, b, c, sign in DENSE_TERMS["svetlichny"])
         assert abs(svetlichny_expectation(d, s) - direct) < 1e-12
 
     def test_local_rotation_invariance(self):
@@ -170,16 +138,14 @@ class TestBellOperators:
         rho = random_density(rng)
 
         def su2_and_so3(rng):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(g)
-            u = q * (np.diag(r) / np.abs(np.diag(r)))
+            u = random_su2(rng)
             sig = [SX, SY, SZ]
             rot = np.array([[0.5 * np.real(np.trace(sig[i] @ u @ sig[j] @ u.conj().T))
                              for j in range(3)] for i in range(3)])
             return u, rot
 
         (u1, r1), (u2, r2), (u3, r3) = (su2_and_so3(rng) for _ in range(3))
-        u = np.kron(np.kron(u1, u2), u3)
+        u = kron3(u1, u2, u3)
         rotations = [r1, r1, r2, r2, r3, r3]
 
         setting = random_setting(rng, unbiased=True)

@@ -19,28 +19,13 @@ from bell3q.svetlichny import build_w_matrix, equal_strength_angles_svetlichny
 from bell3q.states import build, parse_state_spec
 from bell3q.suites import saturable_tensor
 
-from test_observables import dense_triple, random_density
+from references import DENSE_TERMS, ORTH, ROOT2, dense_triple, ghz_t, random_density
 
-ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
-ROOT2 = np.sqrt(2.0)
 EXPECTATIONS = {"mermin": mermin_expectation, "svetlichny": svetlichny_expectation}
-
-
-def ghz_t3():
-    t = np.zeros((3, 3, 3))
-    t[0, 0, 0] = 1.0
-    t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = -1.0
-    return t
 
 
 def mixed_decomp():
     return decomposition_from_t(np.zeros((3, 3, 3)))
-
-
-# (X slot, Y slot, Z slot, sign) over (X, X', Y, Y', Z, Z'), written term by term
-DENSE_TERMS = {"mermin": [(0, 2, 5, 1), (0, 3, 4, 1), (1, 2, 4, 1), (1, 3, 5, -1)]}
-DENSE_TERMS["svetlichny"] = DENSE_TERMS["mermin"] + [
-    (1, 3, 4, -1), (1, 2, 5, -1), (0, 3, 5, -1), (0, 2, 4, 1)]
 
 
 def dense_value(rho, setting, kind):
@@ -249,7 +234,7 @@ class TestOneClimbPerRestart:
         yield mixed_decomp(), Strengths.uniform(0.6), ORTH if held else None
         if held:
             for angles in ((0.0, np.pi / 2, np.pi), (0.0, 0.0, 0.0)):
-                yield decomposition_from_t(ghz_t3()), Strengths.uniform(0.8), angles
+                yield decomposition_from_t(ghz_t()), Strengths.uniform(0.8), angles
 
     def assert_same(self, decomp, st, kind, cfg):
         value, biased_value, best, best_dirs, sweeps, hit_max = mirrored_reference(
@@ -307,7 +292,7 @@ class TestOneClimbPerRestart:
     def test_nonzero_biases_climb_both_signs(self):
         # mermin on GHZ correlations at biases -(1 - R): K = 2 (R - 1)^3 < 0, so
         # the maximum max A + |K| sits at a negative expectation
-        d = decomposition_from_t(ghz_t3())
+        d = decomposition_from_t(ghz_t())
         st = Strengths.uniform(0.8)
         biases = -st.bars
         cfg = SeeSawConfig(restarts=4, seed=21, record_trace=True)
@@ -667,7 +652,7 @@ class TestBiasOptimize:
 
     def test_unit_strengths_match_plain_seesaw(self):
         # K is zero at unit strengths, so the bias oracle is the plain see-saw
-        d = decomposition_from_t(ghz_t3())
+        d = decomposition_from_t(ghz_t())
         for angles in (None, ORTH):
             cfg = SeeSawConfig(restarts=8, seed=9, angle_constraints=angles,
                                record_trace=True)
@@ -714,7 +699,7 @@ class TestBiasOptimize:
 
     def test_biased_only_window(self):
         # inside the window, biased observables violate while unbiased cannot
-        d = decomposition_from_t(ghz_t3())
+        d = decomposition_from_t(ghz_t())
         ru, rb = OPERATORS["mermin"].biased_window(2.0)
         mid = 0.5 * (ru + rb)
         st = Strengths.uniform(mid)
@@ -748,14 +733,14 @@ def saturating_setting(t, strengths, angles, kind):
 
 class TestConstructSaturating:
     def test_ghz_mermin(self):
-        d = decomposition_from_t(ghz_t3())
-        setting = saturating_setting(ghz_t3(), Strengths.uniform(1.0), ORTH, "mermin")
+        d = decomposition_from_t(ghz_t())
+        setting = saturating_setting(ghz_t(), Strengths.uniform(1.0), ORTH, "mermin")
         assert abs(mermin_expectation(d, setting) - 4.0) < 1e-8
 
     def test_ghz_svetlichny(self):
-        d = decomposition_from_t(ghz_t3())
+        d = decomposition_from_t(ghz_t())
         angles = equal_strength_angles_svetlichny(ROOT2, ROOT2)
-        setting = saturating_setting(ghz_t3(), Strengths.uniform(1.0), angles, "svetlichny")
+        setting = saturating_setting(ghz_t(), Strengths.uniform(1.0), angles, "svetlichny")
         assert abs(svetlichny_expectation(d, setting) - 4.0 * ROOT2) < 1e-8
 
     def test_zero_tensor(self):

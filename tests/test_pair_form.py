@@ -15,7 +15,8 @@ from bell3q import ConsistencyError, Strengths, i_plus_minus, j_plus_minus, merm
 from bell3q import observables
 from bell3q.observables import OPERATORS
 
-ORTH = (np.pi / 2, np.pi / 2, np.pi / 2)
+from references import ORTH
+
 FUNCTIONS = {
     "pair_bound:mermin": lambda st, a: OPERATORS["mermin"].pair_bound(0.83, 0.41, st, a),
     "pair_bound:svetlichny": lambda st, a: OPERATORS["svetlichny"].pair_bound(0.83, 0.41, st, a),

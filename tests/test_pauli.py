@@ -9,15 +9,7 @@ from bell3q import (CorrelationDecomposition, PhysicalityError, ThreeQubitState,
                     decompose, decomposition_from_t, reconstruct)
 from bell3q.smallmat import singular_values_3x9
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-SI = np.eye(2, dtype=complex)
-SIGMA = [SI, SX, SY, SZ]
-
-
-def kron3(a, b, c):
-    return np.kron(np.kron(a, b), c)
+from references import SIGMA, ghz_t, kron3, random_density, random_su2
 
 
 def trace_oracle(rho):
@@ -34,12 +26,6 @@ def ghz_matrix():
     return np.outer(v, v.conj())
 
 
-def random_density(rng):
-    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
-
-
 class TestDecompose:
     def test_maximally_mixed(self):
         d = decompose(ThreeQubitState(np.eye(8) / 8))
@@ -53,10 +39,7 @@ class TestDecompose:
         np.testing.assert_allclose(d.lam, trace_oracle(rho), atol=1e-12)
 
         t = d.t_tensor
-        expected_t = np.zeros((3, 3, 3))
-        expected_t[0, 0, 0] = 1.0
-        expected_t[0, 1, 1] = expected_t[1, 0, 1] = expected_t[1, 1, 0] = -1.0
-        np.testing.assert_allclose(t, expected_t, atol=1e-12)
+        np.testing.assert_allclose(t, ghz_t().reshape(3, 3, 3), atol=1e-12)
         for block in (d.theta_mat, d.phi_mat, d.omega_mat):
             expected = np.zeros((3, 3))
             expected[2, 2] = 1.0
@@ -145,12 +128,6 @@ class TestReconstruct:
             rho = random_density(rng)
             rebuilt = reconstruct(decompose(ThreeQubitState(rho)))
             np.testing.assert_allclose(rebuilt.matrix, rho, atol=1e-12)
-
-
-def random_su2(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestLocalUnitaryInvariance:

@@ -4,12 +4,7 @@ import numpy as np
 
 from bell3q.smallmat import singular_values_3x9
 
-
-def ghz_t_matrix():
-    t = np.zeros((3, 3, 3))
-    t[0, 0, 0] = 1.0
-    t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = -1.0
-    return t.reshape(3, 9)
+from references import ghz_t
 
 
 class TestSingularTriple:
@@ -18,7 +13,7 @@ class TestSingularTriple:
         np.testing.assert_allclose(values, 0.0)
 
     def test_ghz_tensor(self):
-        values = singular_values_3x9(ghz_t_matrix())
+        values = singular_values_3x9(ghz_t())
         np.testing.assert_allclose(values, [np.sqrt(2), np.sqrt(2), 0], atol=1e-10)
 
     def test_rank_one(self):
@@ -28,7 +23,7 @@ class TestSingularTriple:
         np.testing.assert_allclose(values, [0.7, 0, 0], atol=1e-14)
 
     def test_structural_zero_is_exact(self):
-        assert singular_values_3x9(ghz_t_matrix())[2] == 0.0
+        assert singular_values_3x9(ghz_t())[2] == 0.0
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(17)
